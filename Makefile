@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check vet build lint lint-affinity lint-fix-dryrun test bench-telemetry bench bench-compare bench-shards fuzz fuzz-zns fuzz-faults fuzz-shards fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign update-golden clean
+.PHONY: all check vet build lint lint-affinity lint-fix-dryrun test bench-telemetry bench bench-compare bench-shards fuzz fuzz-zns fuzz-ftl fuzz-faults fuzz-shards fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign update-golden clean
 
 all: check
 
@@ -139,6 +139,13 @@ fuzz:
 # Short fuzz pass over the ZNS zone state machine (auditor attached).
 fuzz-zns:
 	$(GO) test -run='^$$' -fuzz=FuzzZoneStateMachine -fuzztime=30s ./internal/zns/
+
+# Short fuzz pass over the conventional FTL's GC victim index: random
+# (seed, policy/mode/streams/separation/fault profile, crash point) churn,
+# every pick checked against the full-device scan oracle and the index
+# against a from-scratch rebuild after every op.
+fuzz-ftl:
+	$(GO) test -run='^$$' -fuzz=FuzzVictimIndex -fuzztime=30s ./internal/ftl/
 
 # Short fuzz pass over the differential fault harness: random
 # (seed, profile, crash point) schedules against the integrity oracle and

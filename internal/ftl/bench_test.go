@@ -35,9 +35,14 @@ func BenchmarkWritePageSequential(b *testing.B) {
 }
 
 // BenchmarkWritePageSteadyStateGC measures random overwrites at GC steady
-// state — the per-op cost including amortized relocation.
+// state — the per-op cost including amortized relocation — at 10% OP and at
+// E2's 0%-OP calibration point, where GC copies ~14 pages per host write.
 func BenchmarkWritePageSteadyStateGC(b *testing.B) {
-	d := benchDev(b, 0.1)
+	b.Run("op=10%", func(b *testing.B) { benchSteadyStateGC(b, benchDev(b, 0.1)) })
+	b.Run("e2-op=0%", func(b *testing.B) { benchSteadyStateGC(b, e2CalibrationDev(b)) })
+}
+
+func benchSteadyStateGC(b *testing.B, d *Device) {
 	var at sim.Time
 	for lpn := int64(0); lpn < d.CapacityPages(); lpn++ {
 		at, _ = d.WritePage(at, lpn, nil)
@@ -46,6 +51,7 @@ func BenchmarkWritePageSteadyStateGC(b *testing.B) {
 	for i := int64(0); i < d.CapacityPages(); i++ { // age
 		at, _ = d.WritePage(at, keys.Next(), nil)
 	}
+	runs := d.GCRuns()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -55,6 +61,7 @@ func BenchmarkWritePageSteadyStateGC(b *testing.B) {
 		}
 	}
 	b.ReportMetric(d.Counters().WriteAmp(), "WA")
+	b.ReportMetric(float64(d.GCRuns()-runs)/float64(b.N), "gc_runs/op")
 }
 
 func BenchmarkReadPageMapped(b *testing.B) {

@@ -17,6 +17,19 @@
 // the paper blames for tail latency: when free space runs low, the write
 // that trips the low-water mark stalls behind a full victim relocation and
 // erase, and reads queued on the same LUNs wait behind the GC traffic.
+//
+// GC victims come from an incremental candidate index, not a device scan.
+// A block is a candidate when it is not bad, not free, not an open host or
+// GC frontier, not held by an in-progress reclaim (the incremental victim,
+// or the victim a foreground reclaim is relocating), is fully written or
+// sealed by crash recovery, and has at least one dead page. Candidates sit
+// in buckets keyed by valid-page count. Every mutation of an input of that
+// predicate re-derives the affected block's bucket, and Recover rebuilds
+// the index in one pass. Greedy takes the lowest non-empty bucket's
+// least-erased block, lowest index first; CostBenefit scores every
+// candidate and takes the maximum under (score desc, erase count asc,
+// block index asc). Both orders reproduce the full scan the tests keep as
+// their oracle, victim for victim.
 package ftl
 
 import (
@@ -168,6 +181,7 @@ type Device struct {
 	lastInval  []sim.Time
 	freePerLUN [][]int // free block IDs per LUN
 	freeBit    []bool  // per-block free flag, mirrors freePerLUN
+	frontBit   []bool  // per-block flag: referenced by an open host or GC frontier
 	freeCount  int
 	// freeSlots counts programmable pages device-wide: unwritten pages in
 	// open frontier blocks plus whole free blocks. GC triggers on slots, not
@@ -180,6 +194,15 @@ type Device struct {
 	gcRR           int
 
 	data map[int64][]byte // logical page -> payload (if StoreData)
+
+	// vix indexes the GC candidates by valid-page count (victims.go).
+	vix victimIndex
+	// reclaiming is the victim a foreground reclaim holds out of vix while
+	// it relocates and erases it, -1 otherwise.
+	reclaiming int
+	// pickCheck, when set, observes every victim pick; tests use it to
+	// cross-check the index against a full scan.
+	pickCheck func(at sim.Time, victim int)
 
 	// Incremental GC cursor (GCDeviceIncremental only).
 	gcVictim int
@@ -286,6 +309,8 @@ func New(cfg Config) (*Device, error) {
 		lastInval:    make([]sim.Time, cfg.Geom.TotalBlocks()),
 		freePerLUN:   make([][]int, cfg.Geom.LUNs()),
 		freeBit:      make([]bool, cfg.Geom.TotalBlocks()),
+		frontBit:     make([]bool, cfg.Geom.TotalBlocks()),
+		vix:          newVictimIndex(cfg.Geom.TotalBlocks(), cfg.Geom.PagesPerBlock),
 		hostFront:    make([][]frontier, cfg.Streams),
 		gcFront:      make([]frontier, cfg.Geom.LUNs()),
 		rr:           make([]int, cfg.Streams),
@@ -311,7 +336,7 @@ func New(cfg Config) (*Device, error) {
 	for i := range d.gcFront {
 		d.gcFront[i].block = -1
 	}
-	d.gcVictim = -1
+	d.gcVictim, d.reclaiming = -1, -1
 	d.freeSlots = raw
 	d.thresholdSlots = int64(cfg.GCLowWaterBlocks) * int64(cfg.Geom.PagesPerBlock)
 	if cfg.StoreData {
@@ -433,14 +458,29 @@ func (d *Device) allocPage(stream int, gc bool) (int64, error) {
 			return d.ppn(f.block, d.chip.WrittenPages(f.block)), nil
 		}
 		if b, ok := d.takeFreeBlock(lun, gc); ok {
-			f.block = b
+			d.setFrontier(f, b)
 			return d.ppn(b, 0), nil
 		}
 		// Full frontier and no replacement: drop the reference so the full
 		// block becomes a GC candidate instead of being pinned forever.
-		f.block = -1
+		d.setFrontier(f, -1)
 	}
 	return 0, ErrOutOfSpace
+}
+
+// setFrontier points f at block (-1 closes it). The block it held before
+// leaves the frontier set and may become a GC candidate.
+func (d *Device) setFrontier(f *frontier, block int) {
+	old := f.block
+	f.block = block
+	if old >= 0 {
+		d.frontBit[old] = false
+		d.reindex(old)
+	}
+	if block >= 0 {
+		d.frontBit[block] = true
+		d.reindex(block)
+	}
 }
 
 // gcReserveBlocks is the number of free blocks host allocation may never
@@ -492,6 +532,7 @@ func (d *Device) invalidate(at sim.Time, ppn int64) {
 	d.p2l[ppn] = unmapped
 	d.valid[b]--
 	d.lastInval[b] = at
+	d.reindex(b)
 	if d.deadBy != nil {
 		// The page died by host overwrite or trim; the worker doing that is
 		// the polluter GC will later blame for cleaning this block.
@@ -592,6 +633,7 @@ func (d *Device) WritePageStream(at sim.Time, lpn int64, stream int, data []byte
 	d.l2p[lpn] = ppn
 	d.p2l[ppn] = lpn
 	d.valid[d.blockOf(ppn)]++
+	d.reindex(d.blockOf(ppn))
 	if d.pageOwner != nil {
 		d.pageOwner[ppn] = clampOwner(d.attr.Worker())
 	}

@@ -72,6 +72,8 @@ func (d *Device) incrementalGC(at sim.Time) sim.Time {
 		// Fell behind: one emergency foreground pass (stall visible).
 		// Finish the in-flight incremental victim first; it is excluded
 		// from victim selection, so its dead space is otherwise stranded.
+		// reclaimVictim holds it out of the index until it is erased, or
+		// re-indexes it if the reclaim fails.
 		start := at
 		if d.gcVictim >= 0 {
 			v := d.gcVictim
@@ -107,6 +109,7 @@ func (d *Device) incrementalGC(at sim.Time) sim.Time {
 				return at
 			}
 			d.gcVictim, d.gcCursor = v, 0
+			d.reindex(v) // held out of the index until erased
 			d.fl.Record(at, telemetry.FlightGCVictim, int32(v), "incremental", d.valid[v])
 		}
 		// The chunk's relocation (and eventual erase) occupies LUNs on the
@@ -143,6 +146,7 @@ func (d *Device) incrementalGC(at sim.Time) sim.Time {
 			} else {
 				d.valid[victim] = 0
 			}
+			d.reindex(victim) // free, or retired: out of the index either way
 			d.clearDeadBy(victim)
 			erased = true
 		}
@@ -189,9 +193,7 @@ func (d *Device) relocateChunk(at sim.Time, victim, budget int) (moved int, done
 		}
 		if err == flash.ErrUncorrectable {
 			// Detected loss of the victim page; drop the mapping.
-			d.p2l[ppn] = unmapped
-			d.l2p[lpn] = unmapped
-			d.valid[victim]--
+			d.dropLostPage(ppn, lpn)
 			continue
 		}
 		if err != nil {
@@ -199,18 +201,7 @@ func (d *Device) relocateChunk(at sim.Time, victim, budget int) (moved int, done
 			return moved, done
 		}
 		done = sim.Max(done, cDone)
-		d.freeSlots--
-		d.p2l[ppn] = unmapped
-		d.l2p[lpn] = dst
-		d.p2l[dst] = lpn
-		d.valid[d.blockOf(dst)]++
-		d.valid[victim]--
-		if d.pageOwner != nil {
-			d.pageOwner[dst] = d.pageOwner[ppn]
-		}
-		d.counters.FlashReadPages++
-		d.counters.FlashProgramPages++
-		d.counters.GCCopyPages++
+		d.movePage(ppn, lpn, dst)
 		d.mGCCopies.Inc()
 		moved++
 	}
@@ -247,7 +238,9 @@ func (d *Device) forceGC(at sim.Time) sim.Time {
 func (d *Device) reclaimVictim(at sim.Time, victim int) (sim.Time, bool) {
 	c := d.dominantPolluter(victim)
 	d.attr.PushWorker(c)
+	d.holdVictim(victim)
 	done, ok := d.relocateAndErase(at, victim)
+	d.releaseVictim(victim)
 	d.attr.PopWorker()
 	if ok {
 		if adv := done - at; adv > d.gcTopAdv {
@@ -257,65 +250,20 @@ func (d *Device) reclaimVictim(at sim.Time, victim int) (sim.Time, bool) {
 	return done, ok
 }
 
-// isFrontier reports whether block is a currently open write frontier.
-func (d *Device) isFrontier(block int) bool {
-	for _, fronts := range d.hostFront {
-		for i := range fronts {
-			if fronts[i].block == block {
-				return true
-			}
-		}
-	}
-	for i := range d.gcFront {
-		if d.gcFront[i].block == block {
-			return true
-		}
-	}
-	return false
-}
-
-// pickVictim selects a GC victim per the configured policy, or -1 if no
-// block is eligible. Only closed, non-frontier, non-free blocks are
-// candidates — fully-written blocks plus partially-written blocks sealed by
-// crash recovery (torn frontiers GC must be able to reclaim); ties break
-// toward the least-erased block (wear leveling).
+// pickVictim selects a GC victim per the configured policy from the
+// candidate index, or -1 if no block is eligible (see victimKey for the
+// candidate predicate, greedyVictim and costBenefitVictim for the orders).
 func (d *Device) pickVictim(at sim.Time) int {
-	best := -1
-	var bestValid int64
-	var bestScore float64
-	for b := 0; b < d.geom.TotalBlocks(); b++ {
-		if d.chip.IsBad(b) || d.isFree(b) || d.isFrontier(b) || b == d.gcVictim {
-			continue
-		}
-		if d.chip.WrittenPages(b) < d.pages && !d.chip.IsSealed(b) {
-			continue
-		}
-		v := d.valid[b]
-		if v >= int64(d.pages) {
-			continue // nothing to gain
-		}
-		switch d.cfg.GCPolicy {
-		case CostBenefit:
-			u := float64(v) / float64(d.pages)
-			age := float64(at-d.lastInval[b]) + 1
-			var score float64
-			if u == 0 {
-				score = age * 1e12 // free lunch: a fully dead block
-			} else {
-				score = age * (1 - u) / (2 * u)
-			}
-			if best < 0 || score > bestScore ||
-				(score == bestScore && d.chip.EraseCount(b) < d.chip.EraseCount(best)) {
-				best, bestScore = b, score
-			}
-		default: // Greedy
-			if best < 0 || v < bestValid ||
-				(v == bestValid && d.chip.EraseCount(b) < d.chip.EraseCount(best)) {
-				best, bestValid = b, v
-			}
-		}
+	var v int
+	if d.cfg.GCPolicy == CostBenefit {
+		v = d.costBenefitVictim(at)
+	} else {
+		v = d.greedyVictim()
 	}
-	return best
+	if d.pickCheck != nil {
+		d.pickCheck(at, v)
+	}
+	return v
 }
 
 func (d *Device) isFree(block int) bool { return d.freeBit[block] }
@@ -369,13 +317,13 @@ func (d *Device) dropFrontier(block int) {
 	for _, fronts := range d.hostFront {
 		for i := range fronts {
 			if fronts[i].block == block {
-				fronts[i].block = -1
+				d.setFrontier(&fronts[i], -1)
 			}
 		}
 	}
 	for i := range d.gcFront {
 		if d.gcFront[i].block == block {
-			d.gcFront[i].block = -1
+			d.setFrontier(&d.gcFront[i], -1)
 		}
 	}
 }
@@ -420,24 +368,11 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 				if cErr != nil {
 					// Uncorrectable source read: a detected loss; drop the
 					// mapping.
-					d.p2l[ppn] = unmapped
-					d.l2p[lpn] = unmapped
-					d.valid[b]--
+					d.dropLostPage(ppn, lpn)
 					break
 				}
 				at = sim.Max(at, done)
-				d.freeSlots--
-				d.p2l[ppn] = unmapped
-				d.l2p[lpn] = dst
-				d.p2l[dst] = lpn
-				d.valid[d.blockOf(dst)]++
-				d.valid[b]--
-				if d.pageOwner != nil {
-					d.pageOwner[dst] = d.pageOwner[ppn]
-				}
-				d.counters.FlashReadPages++
-				d.counters.FlashProgramPages++
-				d.counters.GCCopyPages++
+				d.movePage(ppn, lpn, dst)
 				break
 			}
 		}
@@ -445,10 +380,43 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 	return at
 }
 
+// movePage re-points lpn from its old copy at ppn to the relocated copy at
+// dst — the bookkeeping every relocation path (GC and bad-block migration)
+// shares.
+func (d *Device) movePage(ppn, lpn, dst int64) {
+	src, to := d.blockOf(ppn), d.blockOf(dst)
+	d.freeSlots--
+	d.p2l[ppn] = unmapped
+	d.l2p[lpn] = dst
+	d.p2l[dst] = lpn
+	d.valid[to]++
+	d.valid[src]--
+	d.reindex(to)
+	d.reindex(src)
+	if d.pageOwner != nil {
+		d.pageOwner[dst] = d.pageOwner[ppn]
+	}
+	d.counters.FlashReadPages++
+	d.counters.FlashProgramPages++
+	d.counters.GCCopyPages++
+}
+
+// dropLostPage unmaps lpn, whose only copy at ppn is unreadable after the
+// retry ladder: a detected loss.
+func (d *Device) dropLostPage(ppn, lpn int64) {
+	b := d.blockOf(ppn)
+	d.p2l[ppn] = unmapped
+	d.l2p[lpn] = unmapped
+	d.valid[b]--
+	d.reindex(b)
+}
+
 // relocateAndErase copies the victim's valid pages forward, erases it, and
 // returns it to the free pool. Copies are issued concurrently at time at and
 // serialize per-LUN through the flash resource model; the erase queues
-// behind the victim-LUN reads. Returns the erase completion time.
+// behind the victim-LUN reads. Returns the erase completion time. The
+// caller (reclaimVictim) holds the victim out of the candidate index for
+// the duration.
 func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
 	// Refuse up front if the victim's survivors cannot fit in GC-reachable
 	// space: a partial relocation would consume slots without freeing the
@@ -480,9 +448,7 @@ func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
 				// The victim page itself is unreadable after the retry
 				// ladder: a detected loss. Drop the mapping rather than
 				// strand reclamation on it.
-				d.p2l[ppn] = unmapped
-				d.l2p[lpn] = unmapped
-				d.valid[victim]--
+				d.dropLostPage(ppn, lpn)
 				break
 			}
 			if err != nil {
@@ -491,19 +457,7 @@ func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
 			if done > lastDone {
 				lastDone = done
 			}
-			d.freeSlots--
-			// Re-point the mapping.
-			d.p2l[ppn] = unmapped
-			d.l2p[lpn] = dst
-			d.p2l[dst] = lpn
-			d.valid[d.blockOf(dst)]++
-			d.valid[victim]--
-			if d.pageOwner != nil {
-				d.pageOwner[dst] = d.pageOwner[ppn]
-			}
-			d.counters.FlashReadPages++
-			d.counters.FlashProgramPages++
-			d.counters.GCCopyPages++
+			d.movePage(ppn, lpn, dst)
 			break
 		}
 	}

@@ -52,6 +52,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	}
 	for i := range d.freeBit {
 		d.freeBit[i] = false
+		d.frontBit[i] = false
 	}
 	d.freeCount = 0
 	for st := range d.hostFront {
@@ -136,6 +137,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	}
 	d.nextSeq = maxSeq + 1
 	d.freeSlots = int64(d.freeCount) * int64(d.pages)
+	d.rebuildVictimIndex()
 	for _, p := range d.l2p {
 		if p != unmapped {
 			rep.RecoveredMappings++
