@@ -13,9 +13,8 @@
 // The critical-path what-if ratios count as regressed when they drift in
 // either direction — a prediction is pinned, not minimized — which is how
 // `make bench-compare` gates the what-if engine at 0.1% on
-// BENCH_critpath.json. The exemplar columns (exem_*) are pinned the same
-// way against BENCH_exemplars.json: the worst-IO set is a deterministic
-// function of the seeded run.
+// BENCH_baseline.json. The exemplar columns (exem_*) are pinned the same
+// way: the worst-IO set is a deterministic function of the seeded run.
 // Metrics absent from the baseline (zero) are skipped. Entries present in
 // only one file are never silently dropped: added entries are listed so
 // they can be folded into the baseline, and entries missing from the new

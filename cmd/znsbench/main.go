@@ -8,7 +8,7 @@
 //	znsbench -run E2,E5      # selected experiments
 //	znsbench -list           # list experiments and their paper claims
 //	znsbench -seed 7         # change the workload seed
-//	znsbench -shards 4       # parallel sim lanes; identical reports to -shards 1
+//	znsbench -shards 4       # run independent parts on 4 workers; same report
 //
 // Telemetry (see docs/observability.md):
 //
@@ -72,7 +72,7 @@ func main() {
 		slo         = flag.Bool("slo", false, "run the per-tenant SLO experiment (E14); implies adding E14 to -run")
 		whatif      = flag.String("whatif", "", "run under counterfactual phase scalings, e.g. nand_program:0.5 or zone_reset:0,wp_serial:0 — the ground truth the what-if engine predicts")
 		explain     = flag.String("explain", "", "replay one measured IO with tick-by-tick forensics, e.g. E6:512 (experiment:sequence from a 'slowest IOs' report section); prints the annotated narrative and exits")
-		shards      = flag.Int("shards", 1, "parallel sim lanes per experiment (1 = serial reference; reports are byte-identical at any count, see docs/parallel-sim.md); probe/explain runs force serial")
+		shards      = flag.Int("shards", 1, "workers running each experiment's independent parts (reports and -bench-json are byte-identical at any count, see docs/parallel-sim.md); probe/explain runs use one")
 	)
 	flag.Parse()
 

@@ -74,8 +74,8 @@ type E14Result struct {
 	Device    DeviceState
 }
 
-// rebaseSeqs shifts the result's exemplar sequence numbers after a
-// parallel run, restoring the serial reference's cross-stack numbering.
+// rebaseSeqs shifts the result's exemplar sequence numbers from its
+// part's private numbering to the experiment's cross-stack numbering.
 func (e *E14Result) rebaseSeqs(delta uint64) { e.Exem.Rebase(delta) }
 
 // e14Stack abstracts the two configurations for the shared drive.

@@ -44,15 +44,15 @@ type Config struct {
 	// the ground truth the what-if engine's predictions are validated
 	// against (make whatif-campaign).
 	Scenario *critpath.Scenario
-	// Shards selects the scheduler for experiments built from independent
+	// Shards is the worker count for experiments built from independent
 	// sub-simulations ("parts": one device stack + workload + telemetry
-	// session each). 0 or 1 runs parts serially on the shared session —
-	// today's loop, the reference implementation. N > 1 runs parts on an
-	// internal/sim/shard scheduler with min(N, parts) lanes and merges at
-	// the final barrier in part order; a seeded run's report is
-	// byte-identical at any value (TestShardEquivalence is the gate).
-	// Probe and explain runs force the serial path: both hang live state
-	// (metric registries, the narrator) off one shared sink.
+	// session each). Parts run on an internal/sim/pool of min(N, parts)
+	// workers (0 counts as 1) and their results merge in part order; a
+	// seeded run's report is byte-identical at any value
+	// (TestShardEquivalence is the gate).
+	// Probe and explain runs run parts in order on one shared session
+	// instead: both hang live state (metric registries, the narrator) off
+	// one shared sink.
 	Shards int
 	// ExplainSeq, when nonzero, arms per-IO forensics (znsbench -explain):
 	// instead of the critpath recorder and exemplar reservoir, the session
@@ -242,7 +242,7 @@ type BenchEntry struct {
 	// benchdiff at 0.1% like every other metric).
 	CritPath *critpath.BenchSummary `json:"critpath,omitempty"`
 	// Exemplars carries the exemplar reservoir's capture counts and worst
-	// latencies (gated at 0.1% against BENCH_exemplars.json).
+	// latencies (gated at 0.1% against BENCH_baseline.json).
 	Exemplars *exemplar.BenchSummary `json:"exemplars,omitempty"`
 }
 

@@ -1,28 +1,18 @@
 package core
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// shardCounts is the equivalence table's -shards axis: the serial reference,
-// two intermediate counts, and the benchmark geometry's LUN count (the
-// ISSUE's shard key is the channel/LUN partition, so numLUNs is the natural
-// upper operating point; counts beyond the part count clamp).
-func shardCounts() []int {
-	counts := []int{1, 2, 4, e4Geometry().LUNs()}
-	seen := map[int]bool{}
-	out := counts[:0]
-	for _, n := range counts {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}
+// poolWidths is the equivalence table's -shards axis: one worker, two
+// intermediate widths, and one above the largest part count any experiment
+// schedules (E13 under a fault profile runs 2 profiles × 2 stacks), so the
+// clamp to the part count is exercised too.
+var poolWidths = []int{1, 2, 4, 5}
 
-// runReportAt runs one experiment at a shard count and returns the rendered
+// runReportAt runs one experiment at a pool width and returns the rendered
 // report — the byte-exact artifact the whole battery compares.
 func runReportAt(t *testing.T, id string, seed int64, shards int) string {
 	t.Helper()
@@ -63,25 +53,48 @@ func diffAt(t *testing.T, label, got, want string) {
 	t.Errorf("%s: reports differ in length: %d vs %d bytes", label, len(got), len(want))
 }
 
-// TestShardEquivalence is the gate for the parallel core: for every
-// registered experiment, the full rendered report is byte-identical between
-// the serial reference (-shards=1) and every parallel count, same seed.
-// Everything the reports embed rides along — latency tables, attribution
-// breakdowns, critical paths, exemplar sequence numbers and -explain hints,
-// blame matrices with their exact conservation lines, device audits, and
-// oracle verdicts.
+// TestShardEquivalence is the gate for the part pool: for every registered
+// experiment, the full rendered report is byte-identical at every pool
+// width, same seed. Everything the reports embed rides along — latency
+// tables, attribution breakdowns, critical paths, exemplar sequence numbers
+// and -explain hints, blame matrices with their exact conservation lines,
+// device audits, and oracle verdicts.
 func TestShardEquivalence(t *testing.T) {
-	counts := shardCounts()
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			ref := runReportAt(t, e.ID, 42, counts[0])
-			for _, n := range counts[1:] {
+			ref := runReportAt(t, e.ID, 42, poolWidths[0])
+			for _, n := range poolWidths[1:] {
 				if got := runReportAt(t, e.ID, 42, n); got != ref {
 					diffAt(t, e.ID+" shards="+itoa(n), got, ref)
 				}
 			}
 		})
+	}
+}
+
+// TestBenchJSONPoolWidth pins the -bench-json entries of E4 and E6 — the
+// committed BENCH_baseline.json run — byte-for-byte across pool widths,
+// max_us fields included (benchdiff does not compare them).
+func TestBenchJSONPoolWidth(t *testing.T) {
+	benchAt := func(shards int) string {
+		var out []byte
+		for _, id := range []string{"E4", "E6"} {
+			e, _ := ByID(id)
+			rep, err := e.Run(Config{Seed: 42, Shards: shards})
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", id, shards, err)
+			}
+			b, err := json.Marshal(rep.Bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b...)
+		}
+		return string(out)
+	}
+	if one, four := benchAt(1), benchAt(4); one != four {
+		diffAt(t, "E4+E6 bench entries shards=4", four, one)
 	}
 }
 

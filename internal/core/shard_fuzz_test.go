@@ -6,8 +6,7 @@ import (
 	"testing"
 
 	"blockhead/internal/fault"
-	"blockhead/internal/sim"
-	"blockhead/internal/sim/shard"
+	"blockhead/internal/sim/pool"
 )
 
 // faultOutcome is the comparable digest of one stack's oracle-checked crash
@@ -37,13 +36,13 @@ func runFaultOutcome(cfg Config, build func(Config, fault.Profile) (e13Stack, er
 	}, nil
 }
 
-// FuzzShardSchedule fuzzes the (seed, shard count, crash point) space of
-// the parallel core: both fault-campaign stacks run once on the serial path
-// and once as lanes of a shard scheduler, and the oracle's verdicts —
-// violation count, detail text, and the recovery sequence horizon — must
-// match exactly, whatever the schedule. The seed corpus pins the operating
-// points the equivalence battery exercises (2/4/8 lanes) plus crash-at-zero
-// and a crash in recovery-heavy steady state.
+// FuzzShardSchedule fuzzes the (seed, pool width, crash point) space of
+// the part pool: both fault-campaign stacks run once serially and once as
+// jobs of pool.Run, and the oracle's verdicts — violation count, detail
+// text, and the recovery sequence horizon — must match exactly, whatever
+// the width. The seed corpus pins the operating points the equivalence
+// battery exercises (2/4/8 workers) plus crash-at-zero and a crash in
+// recovery-heavy steady state.
 func FuzzShardSchedule(f *testing.F) {
 	f.Add(int64(42), uint8(2), uint16(100))
 	f.Add(int64(42), uint8(4), uint16(700))
@@ -54,7 +53,7 @@ func FuzzShardSchedule(f *testing.F) {
 	prof, _ := fault.ProfileByName("default")
 	cfg := Config{Quick: true, Seed: 42}
 	f.Fuzz(func(t *testing.T, seed int64, shards uint8, crashAt uint16) {
-		lanes := 2 + int(shards)%7 // 2..8 lanes; 1 is the reference below
+		width := 2 + int(shards)%7 // 2..8 workers; the serial loop below is the reference
 		const total = 1200
 		crashIdx := int64(crashAt) % total
 
@@ -67,24 +66,19 @@ func FuzzShardSchedule(f *testing.F) {
 			ref[i] = out
 		}
 
-		l := shard.New(lanes)
 		got := make([]faultOutcome, len(faultStackBuilders))
 		errs := make([]error, len(faultStackBuilders))
-		for i, sb := range faultStackBuilders {
-			i, sb := i, sb
-			l.At(i%lanes, 0, func(sim.Time) {
-				got[i], errs[i] = runFaultOutcome(cfg, sb.build, prof, seed, total, crashIdx)
-			})
-		}
-		l.Run()
+		pool.Run(width, len(faultStackBuilders), func(i int) {
+			got[i], errs[i] = runFaultOutcome(cfg, faultStackBuilders[i].build, prof, seed, total, crashIdx)
+		})
 
 		for i, sb := range faultStackBuilders {
-			label := fmt.Sprintf("%s seed=%d lanes=%d crash@%d", sb.name, seed, lanes, crashIdx)
+			label := fmt.Sprintf("%s seed=%d width=%d crash@%d", sb.name, seed, width, crashIdx)
 			if errs[i] != nil {
-				t.Fatalf("sharded %s: %v", label, errs[i])
+				t.Fatalf("pooled %s: %v", label, errs[i])
 			}
 			if got[i] != ref[i] {
-				t.Errorf("%s: sharded outcome diverged from serial:\n  serial   %+v\n  parallel %+v",
+				t.Errorf("%s: pooled outcome diverged from serial:\n  serial %+v\n  pooled %+v",
 					label, ref[i], got[i])
 			}
 			if got[i].violations != 0 {

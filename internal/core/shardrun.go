@@ -1,37 +1,25 @@
 package core
 
-import (
-	"blockhead/internal/sim"
-	"blockhead/internal/sim/shard"
-)
+import "blockhead/internal/sim/pool"
 
-// This file is the experiment harness's side of the parallel core: it runs
-// an experiment's independent sub-simulations ("parts") either serially —
-// the reference implementation, byte-for-byte today's behavior — or as
-// lane events on an internal/sim/shard scheduler, then merges results
-// deterministically in part order.
+// This file runs an experiment's independent sub-simulations ("parts") and
+// merges their results deterministically in part order.
 //
 // A part is one device stack with its own flash chip, workload source, and
-// telemetry session: the flash channel/LUN isolation the ISSUE's shard key
-// names is what makes parts independent (no part ever touches another's
-// LUNs, free-block pool, or L2P map — shardcheck's affinity report proves
-// the per-LUN paths write only shard-keyed state). The only cross-part
-// coupling in the serial path is the session's shared AttrSink, which
-// numbers measured IOs consecutively across parts so `-explain <exp>:<seq>`
-// is unambiguous. The parallel path gives each part a private sink
-// (numbering from 1) and restores the serial numbering at the final
-// barrier: part k's exemplar sequence numbers are rebased by the total
-// measured-IO count of parts 0..k-1. Aggregates need no correction — the
-// serial path already snapshot-deltas them per part, and a from-zero
-// private sink yields the same delta.
+// telemetry session: no part touches another's LUNs, free-block pool, or
+// L2P map, so parts may run side by side. Each part gets a private session
+// whose AttrSink numbers measured IOs from 1; after every part has run,
+// part k's exemplar sequence numbers are rebased by the total measured-IO
+// count of parts 0..k-1, which is exactly the numbering one shared sink
+// would have handed out running the parts in order. Aggregates need no
+// correction: a from-zero private sink yields the same per-part delta.
 //
 // The fault RNG needs no correction either: each part owns its injector,
-// seeded from cfg.Seed, consumed in the part's own virtual-time order —
-// a single virtual-time-ordered stream per part under both schedulers.
+// seeded from cfg.Seed and consumed in the part's own virtual-time order.
 
 // partTask is one schedulable part: run executes it under a part-scoped
 // Config; rebase, if non-nil, shifts the result's measured-IO sequence
-// numbers after a parallel run (delta = measured IOs in preceding parts).
+// numbers (delta = measured IOs in preceding parts).
 type partTask struct {
 	run    func(cfg Config) error
 	rebase func(delta uint64)
@@ -63,13 +51,14 @@ func part[T any](out *T, f func(Config) (T, error)) partTask {
 	}
 }
 
-// runParts executes the parts in order (serial reference) or on the shard
-// scheduler (cfg.Shards > 1), returning the first failed part's error in
-// part order. Probe and explain runs always take the serial path: a live
-// probe hangs one metric registry and flight recorder off the run, and the
-// explain narrator must see the whole run's numbering on one sink.
+// runParts executes the parts on a pool of cfg.Shards workers (part i on
+// worker i mod width) and returns the first failed part's error in part
+// order. The report is the same at every width. Probe and explain runs run
+// the parts in order on the caller's session instead: a live probe hangs
+// one metric registry and flight recorder off the run, and the explain
+// narrator must see the whole run's numbering on one sink.
 func runParts(cfg Config, parts ...partTask) error {
-	if cfg.Shards <= 1 || cfg.Probe != nil || cfg.ExplainSeq != 0 || len(parts) < 2 {
+	if cfg.Probe != nil || cfg.ExplainSeq != 0 {
 		for _, p := range parts {
 			if err := p.run(cfg); err != nil {
 				return err
@@ -77,25 +66,14 @@ func runParts(cfg Config, parts ...partTask) error {
 		}
 		return nil
 	}
-	lanes := cfg.Shards
-	if lanes > len(parts) {
-		lanes = len(parts)
-	}
-	l := shard.New(lanes)
 	sessions := make([]*session, len(parts))
 	errs := make([]error, len(parts))
-	for i := range parts {
-		i := i
+	pool.Run(cfg.Shards, len(parts), func(i int) {
 		pcfg := cfg
 		pcfg.session = newSession()
 		sessions[i] = pcfg.session
-		// One lane event per part at t=0: parts are independent
-		// sub-simulations, so the meta-schedule needs no barriers until
-		// the merge below (which runs after Run, i.e. at the implicit
-		// final barrier — every lane quiesced).
-		l.At(i%lanes, 0, func(sim.Time) { errs[i] = parts[i].run(pcfg) })
-	}
-	l.Run()
+		errs[i] = parts[i].run(pcfg)
+	})
 	var offset uint64
 	for i, p := range parts {
 		if errs[i] != nil {

@@ -119,7 +119,6 @@ type Counts struct {
 // nothing.
 //
 //simlint:nilsafe
-//simlint:shared one per-device RNG stream: draws must stay a single sequence in virtual-time order for bit-identical campaigns, so the parallel core funnels them through the owning shard
 type Injector struct {
 	prof   Profile
 	rng    *rand.Rand

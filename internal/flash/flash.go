@@ -190,10 +190,7 @@ type blockState struct {
 // lunState is one LUN's complete mutable timing state: the busy-until
 // execution unit, its accumulated utilization, and the attribution occupancy
 // (last tenant and service phase, so a LUN-wait can blame what it queued
-// behind). Keeping all of it in one struct is the shard boundary the
-// channel-sharded scheduler (internal/sim/shard) relies on: a shard owns its
-// channels' LUNs, so every write lands in d.luns[lun] and the affinity
-// report classifies the whole unit per-lun.
+// behind). Every write to it lands in d.luns[lun].
 type lunState struct {
 	res   sim.Resource
 	busy  sim.Time
@@ -223,7 +220,6 @@ type Device struct {
 	luns   []lunState
 	chans  []chanState
 	blocks []blockState
-	//simlint:shared commutative aggregate op totals: per-shard counts merge by summing at barriers
 	counts OpCounts
 
 	// Fault injection (nil = perfect media) and crash/recovery support.

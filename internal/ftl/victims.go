@@ -16,8 +16,6 @@ import (
 // block's valid-page count while it is a candidate, -1 otherwise — and b
 // sits on bucket key[b]'s list exactly when key[b] >= 0. Device.reindex
 // restores it after every mutation that can change a block's key.
-//
-//simlint:shared the bucket heads span every LUN because GC picks its victim device-wide; like the rest of the conventional FTL's state this stays on a single shard
 type victimIndex struct {
 	key      []int32  // per block: bucket, or -1 when not a candidate
 	next     []int32  // per block: next block in the bucket, -1 at the tail

@@ -1,8 +1,8 @@
-// Module call graph and per-function write summaries — the interprocedural
-// substrate under the shardcheck rule. Cross-package function and field
-// identity is symbolic (package path + type name + member name) because the
-// loader type-checks each package against export data, so the same function
-// seen from two packages is two distinct *types.Func objects.
+// Module function index for the pairing rule, plus the type helpers the
+// pairing and exhaustive rules share. Cross-package function identity is
+// symbolic (package path + type name + function name) because the loader
+// type-checks each package against export data, so the same function seen
+// from two packages is two distinct *types.Func objects.
 
 package lint
 
@@ -21,28 +21,6 @@ type funcKey struct {
 	name string
 }
 
-func (k funcKey) String() string {
-	if k.recv != "" {
-		return k.pkg + ".(*" + k.recv + ")." + k.name
-	}
-	return k.pkg + "." + k.name
-}
-
-// stateRef names one piece of module state symbolically: a struct field
-// (pkg, typ, field) or, with typ == "", the package-level var `field`.
-type stateRef struct {
-	pkg   string
-	typ   string
-	field string
-}
-
-func (s stateRef) String() string {
-	if s.typ == "" {
-		return shortPkg(s.pkg) + "." + s.field
-	}
-	return shortPkg(s.pkg) + "." + s.typ + "." + s.field
-}
-
 // shortPkg trims the module prefix for findings: "blockhead/internal/flash"
 // reads better as "flash".
 func shortPkg(path string) string {
@@ -52,67 +30,20 @@ func shortPkg(path string) string {
 	return path
 }
 
-// summary is one function's write effects as seen by its callers, computed
-// to a fixpoint over the call graph. The bool is "every write is indexed by
-// a shard key" — true means the effect is shard-local whenever the object
-// itself is.
-type summary struct {
-	// recv: receiver field name -> all writes to it shard-keyed.
-	recv map[string]bool
-	// globals: state beyond the receiver (package vars, fields reached
-	// through pointer fields, cross-shard elements) -> all writes keyed.
-	globals map[stateRef]bool
-}
-
-func newSummary() *summary {
-	return &summary{recv: map[string]bool{}, globals: map[stateRef]bool{}}
-}
-
-func (s *summary) addRecv(field string, keyed bool) bool {
-	old, ok := s.recv[field]
-	if !ok {
-		s.recv[field] = keyed
-		return true
-	}
-	if old && !keyed {
-		s.recv[field] = false
-		return true
-	}
-	return false
-}
-
-func (s *summary) addGlobal(ref stateRef, keyed bool) bool {
-	old, ok := s.globals[ref]
-	if !ok {
-		s.globals[ref] = keyed
-		return true
-	}
-	if old && !keyed {
-		s.globals[ref] = false
-		return true
-	}
-	return false
-}
-
-// funcNode is one module function: its declaration, package, and summary.
+// funcNode is one module function: its declaration and package.
 type funcNode struct {
-	key  funcKey
 	pkg  *Package
 	decl *ast.FuncDecl
-	fn   *types.Func
-	scan *fnScan
-	sum  *summary
 }
 
 // module indexes every function declared in the loaded packages.
 type module struct {
-	pkgs  []*Package
 	funcs map[funcKey]*funcNode
-	order []funcKey // sorted, for deterministic fixpoint iteration
+	order []funcKey // sorted, for deterministic iteration
 }
 
 func buildModule(pkgs []*Package) *module {
-	m := &module{pkgs: pkgs, funcs: map[funcKey]*funcNode{}}
+	m := &module{funcs: map[funcKey]*funcNode{}}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
@@ -128,7 +59,7 @@ func buildModule(pkgs []*Package) *module {
 				if !ok {
 					continue
 				}
-				m.funcs[k] = &funcNode{key: k, pkg: p, decl: fd, fn: obj, sum: newSummary()}
+				m.funcs[k] = &funcNode{pkg: p, decl: fd}
 			}
 		}
 	}
@@ -199,82 +130,4 @@ func calleeOf(p *Package, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// computeSummaries runs the write-effect fixpoint: each function's summary
-// folds in its direct writes and the current summaries of its callees, until
-// nothing changes. All merges are monotone (sets grow, keyed-flags only
-// decay true->false), so the iteration terminates.
-func computeSummaries(m *module) {
-	for _, k := range m.order {
-		n := m.funcs[k]
-		n.scan = scanFunc(n)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, k := range m.order {
-			if m.resummarize(m.funcs[k]) {
-				changed = true
-			}
-		}
-	}
-}
-
-// resummarize folds n's scan plus current callee summaries into n.sum,
-// reporting whether the summary grew.
-func (m *module) resummarize(n *funcNode) bool {
-	changed := false
-	for _, w := range n.scan.writes {
-		switch w.root {
-		case rootRecv:
-			if n.sum.addRecv(w.ref.field, w.keyedSafe()) {
-				changed = true
-			}
-		case rootGlobal, rootPointee:
-			if n.sum.addGlobal(w.ref, w.keyedSafe()) {
-				changed = true
-			}
-		}
-	}
-	for _, c := range n.scan.calls {
-		callee, ok := m.funcs[c.callee]
-		if !ok {
-			continue // out-of-module: stdlib or unloaded package
-		}
-		// The callee's global effects happen regardless of the receiver.
-		for ref, keyed := range callee.sum.globals {
-			if n.sum.addGlobal(ref, keyed) {
-				changed = true
-			}
-		}
-		switch c.shape {
-		case recvIsCallerRecv:
-			for f, keyed := range callee.sum.recv {
-				if n.sum.addRecv(f, keyed) {
-					changed = true
-				}
-			}
-		case recvIsShardElem:
-			// The receiver is one shard's element (d.luns[lun]); every
-			// receiver-side write stays inside the shard.
-		case recvIsCrossElem:
-			// The receiver is an element reached without a shard key: its
-			// writes escape the shard via the container field.
-			if len(callee.sum.recv) > 0 {
-				if n.sum.addGlobal(c.elem, false) {
-					changed = true
-				}
-			}
-		case recvIsFieldPtr:
-			// The receiver is an object shared through a pointer field
-			// (d.attr): the callee's receiver writes land on the callee's
-			// receiver type, reached from outside the shard key space.
-			for f, keyed := range callee.sum.recv {
-				if n.sum.addGlobal(stateRef{pkg: c.callee.pkg, typ: c.callee.recv, field: f}, keyed) {
-					changed = true
-				}
-			}
-		}
-	}
-	return changed
 }

@@ -11,18 +11,17 @@ import (
 // a model package would both break run-to-run determinism and invalidate the
 // busy-until resource model. The only legitimate homes for goroutines are
 // the HTTP telemetry server and the command/example binaries, which are
-// scope-exempt (see concurrencyExempt), and the shard scheduler
-// (internal/sim/shard), which exists to run plain sim.Loops on goroutines
-// and is held to a different contract instead: because its lanes do run
+// scope-exempt (see concurrencyExempt), and the part pool
+// (internal/sim/pool), which exists to run independent jobs on goroutines
+// and is held to a different contract instead: because its workers do run
 // concurrently, no function in the package may write package-level state —
-// mutable state belongs on a lane or on the coordinator's merge path, where
-// the deterministic-replay argument covers it.
+// mutable state belongs to a job or to the caller's stack.
 func checkConcurrency(p *Package, rep *reporter) {
 	if concurrencyExempt(p.Path) {
 		return
 	}
-	if shardScheduler(p.Path) {
-		checkShardGlobals(p, rep)
+	if partPool(p.Path) {
+		checkPoolGlobals(p, rep)
 		return
 	}
 	for _, f := range p.Files {
@@ -62,17 +61,16 @@ func checkConcurrency(p *Package, rep *reporter) {
 	}
 }
 
-// checkShardGlobals is the shard scheduler's side of the concurrency
-// bargain: the package may spawn goroutines, but every write must land on
-// lane- or coordinator-owned memory. A write whose access path roots in a
-// package-level var is shared across lanes by construction and is a finding
-// — the barrier-merge determinism proof only covers state threaded through
-// the Loop and Lane structs.
-func checkShardGlobals(p *Package, rep *reporter) {
+// checkPoolGlobals is the part pool's side of the concurrency bargain: the
+// package may spawn goroutines, but every write must land on memory owned
+// by one worker or by the caller. A write whose access path roots in a
+// package-level var is shared across workers by construction and is a
+// finding.
+func checkPoolGlobals(p *Package, rep *reporter) {
 	flag := func(lv ast.Expr, pos token.Pos) {
 		if obj := rootPkgVar(p, lv); obj != nil {
 			rep.findf(pos, "concurrency",
-				"write to package-level %s from the shard scheduler; lanes run concurrently — state must live on the lane or the coordinator", obj.Name())
+				"write to package-level %s from the part pool; workers run concurrently — state must live on a job or the caller", obj.Name())
 		}
 	}
 	for _, f := range p.Files {
@@ -115,4 +113,13 @@ func rootPkgVar(p *Package, e ast.Expr) types.Object {
 			return nil
 		}
 	}
+}
+
+// isPkgVar reports whether obj is a package-level variable.
+func isPkgVar(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	if !ok || v.IsField() {
+		return false
+	}
+	return obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
 }

@@ -71,19 +71,6 @@ func (l *Loop) At(t Time, fn func(now Time)) {
 // After schedules fn to run d after the loop's current time.
 func (l *Loop) After(d Time, fn func(now Time)) { l.At(l.now+d, fn) }
 
-// NextAt reports the timestamp of the earliest queued event, or false if the
-// queue is empty. The shard scheduler uses it to compute conservative
-// horizons without disturbing the queue.
-func (l *Loop) NextAt() (Time, bool) {
-	if len(l.h) == 0 {
-		return 0, false
-	}
-	return l.h[0].at, true
-}
-
-// Pending reports how many events are queued.
-func (l *Loop) Pending() int { return len(l.h) }
-
 // Stop makes the in-progress Run or RunUntil return after the current event
 // completes. The flag is scoped to one run: the next Run/RunUntil call clears
 // it and resumes from the queue, so a Stop issued while no run is in progress

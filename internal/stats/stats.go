@@ -127,8 +127,6 @@ func (d *Dist) Reset() {
 
 // Histogram is a log2-bucketed latency histogram for runs too long to keep
 // exact samples. Bucket i covers [2^i, 2^(i+1)) nanoseconds.
-//
-//simlint:shared commutative aggregate: log2 bucket counts merge by summing at barriers
 type Histogram struct {
 	buckets [64]uint64
 	count   uint64
@@ -209,21 +207,6 @@ func (h Histogram) Delta(prev Histogram) Histogram {
 		}
 	}
 	return d
-}
-
-// Merge folds other's samples into h. Bucket counts, count, and sum are
-// commutative aggregates and add exactly; max takes the larger side. This
-// is the histogram's //simlint:shared merge strategy, applied at barriers
-// when the parallel scheduler combines per-shard histograms.
-func (h *Histogram) Merge(other Histogram) {
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for i := range h.buckets {
-		h.buckets[i] += other.buckets[i]
-	}
 }
 
 // Counters tracks the byte- and operation-level accounting every device

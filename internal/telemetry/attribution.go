@@ -124,23 +124,6 @@ func (a OpAttr) Delta(prev OpAttr) OpAttr {
 	return d
 }
 
-// Merge folds other into a. Every field is a commutative aggregate (counts,
-// exact sums, histogram buckets), so per-shard aggregates merged at a
-// barrier equal the serial aggregate exactly — the merge strategy the
-// AttrSink's //simlint:shared annotation names.
-func (a *OpAttr) Merge(other OpAttr) {
-	if a == nil {
-		return
-	}
-	a.Count += other.Count
-	a.TotalSum += other.TotalSum
-	a.Total.Merge(other.Total)
-	for p := 0; p < NumPhases; p++ {
-		a.PhaseSum[p] += other.PhaseSum[p]
-		a.Phase[p].Merge(other.Phase[p])
-	}
-}
-
 // MeanPhase reports the exact mean time per IO spent in phase p.
 func (a OpAttr) MeanPhase(p Phase) sim.Time {
 	if a.Count == 0 {
@@ -164,20 +147,6 @@ func (s AttrSnapshot) Delta(prev AttrSnapshot) AttrSnapshot {
 	return d
 }
 
-// Merge folds other into s: the barrier-time combine for per-shard
-// AttrSink snapshots. Aggregates sum exactly; sequence numbers are not part
-// of a snapshot (the parallel harness rebases per-shard exemplar seqs
-// separately, in shard order).
-func (s *AttrSnapshot) Merge(other AttrSnapshot) {
-	if s == nil {
-		return
-	}
-	s.Violations += other.Violations
-	for k := 0; k < NumOps; k++ {
-		s.Ops[k].Merge(other.Ops[k])
-	}
-}
-
 // AttrSink collects per-IO latency attribution. One record is active at a
 // time — the simulator executes device ops synchronously, so the host
 // driver brackets each measured op with Begin/End and the layers in between
@@ -186,8 +155,6 @@ func (s *AttrSnapshot) Merge(other AttrSnapshot) {
 // The nil *AttrSink is a valid no-op on every method, and no method
 // allocates: the hot path stays 0 allocs/op with telemetry disabled
 // (pinned by bench_test.go) and allocation-free when enabled.
-//
-//simlint:shared per-IO attribution follows the IO, not the shard: brackets open and close in virtual-time order, so the parallel core gives each shard its own sink and merges at End
 type AttrSink struct {
 	active    bool
 	suspended int

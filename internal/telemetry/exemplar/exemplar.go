@@ -407,12 +407,12 @@ func (r *Reservoir) Snapshot() Snapshot {
 }
 
 // Rebase shifts every retained exemplar's sequence number by delta. The
-// parallel harness runs each shard's stack against its own sink, whose
+// experiment harness runs each part's stack against its own sink, whose
 // measured-IO numbering starts at 1; rebasing by the total measured-IO
-// count of the preceding shards (in shard order) reproduces the serial
-// reference's numbering exactly, so `-explain <exp>:<seq>` hints stay valid
-// at any shard count. A constant offset preserves the reservoir's
-// worst-K tie-break order (older wins), so only the labels change.
+// count of the preceding parts (in part order) reproduces the numbering of
+// one sink shared by every part, so `-explain <exp>:<seq>` hints stay valid
+// at any pool width. A constant offset preserves the reservoir's worst-K
+// tie-break order (older wins), so only the labels change.
 func (s *Snapshot) Rebase(delta uint64) {
 	if delta == 0 {
 		return
@@ -617,7 +617,7 @@ func (s Snapshot) Dump(name func(telemetry.TenantID) string) Dump {
 
 // BenchSummary is the -bench-json exemplar block: enough numeric columns
 // for benchdiff to pin the exemplar layer (worst latencies and capture
-// counts) against the committed BENCH_exemplars.json baseline.
+// counts) against the committed BENCH_baseline.json.
 type BenchSummary struct {
 	IOs          uint64  `json:"ios"`
 	Captured     int     `json:"captured"`

@@ -36,8 +36,6 @@ const DefaultTraceEvents = 1 << 16
 // ring fills, the oldest events are overwritten and counted as dropped, so
 // a trace always holds the most recent window of a run. The nil Tracer is
 // a valid no-op and every record method is allocation-free.
-//
-//simlint:shared bounded span ring ordered by virtual time: shards record locally and the rings interleave-merge by timestamp at barriers
 type Tracer struct {
 	ring    []Event
 	next    int
