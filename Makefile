@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: all check vet build lint lint-fix-dryrun test bench-telemetry bench bench-compare fuzz fuzz-zns fuzz-ftl fuzz-faults fuzz-shards fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign update-golden clean
+.PHONY: all check vet build lint lint-fix-dryrun test bench-telemetry bench-datapath bench bench-compare fuzz fuzz-zns fuzz-ftl fuzz-faults fuzz-shards fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign update-golden clean
 
 all: check
 
-check: vet build lint test bench-telemetry fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign
+check: vet build lint test bench-telemetry bench-datapath fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign
 
 vet:
 	$(GO) vet ./...
@@ -42,6 +42,14 @@ test:
 # slows every simulation.
 bench-telemetry:
 	$(GO) test -run='^$$' -bench=ProbeDisabled -benchmem ./internal/telemetry/ ./internal/telemetry/critpath/ ./internal/telemetry/exemplar/ ./internal/zns/ ./internal/fault/
+
+# The zkv data path and the event loop, with allocations: a reused table
+# builder, ReadAt views over stored pages (0 allocs/op on both backends),
+# and one sim.Loop event (0 allocs). The 0-alloc pins themselves are tests
+# (TestReadAtZeroAllocs, TestLoopEventZeroAllocs), so `make test` enforces
+# them; this prints the figures.
+bench-datapath:
+	$(GO) test -run='^$$' -bench='TableBuilder|BackendReadAt|LoopEvent' -benchmem ./internal/zkv/ ./internal/sim/
 
 # Regenerate the pinned JSON schemas served by /metrics.json and
 # /attribution.json after a deliberate schema change.

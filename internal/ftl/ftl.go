@@ -136,7 +136,10 @@ type Config struct {
 	TrimSupported bool
 
 	// StoreData keeps written payloads so reads can return them. Timing-only
-	// experiments leave it off to save memory.
+	// experiments leave it off to save memory. The device keeps the slice
+	// WritePage was given, not a copy, and ReadPage returns that same
+	// slice: callers must not modify a payload after writing it or after
+	// reading it back.
 	StoreData bool
 
 	// Endurance is the per-block erase budget passed to the flash layer;

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // event is a scheduled callback.
 type event struct {
 	at  Time
@@ -9,22 +7,50 @@ type event struct {
 	fn  func(now Time)
 }
 
+// before orders events by (at, seq). seq is unique, so this is a strict
+// total order and the heap pops one exact sequence.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// eventHeap is a binary min-heap of events on (at, seq).
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	e := q[0]
+	q[0] = q[n]
+	q[n] = event{} // drop the callback reference
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q[r].before(&q[m]) {
+			m = r
+		}
+		if !q[m].before(&q[i]) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
 	return e
 }
 
@@ -65,7 +91,7 @@ func (l *Loop) At(t Time, fn func(now Time)) {
 		panic("sim: event scheduled in the past")
 	}
 	l.seq++
-	heap.Push(&l.h, event{at: t, seq: l.seq, fn: fn})
+	l.h.push(event{at: t, seq: l.seq, fn: fn})
 }
 
 // After schedules fn to run d after the loop's current time.
@@ -85,7 +111,7 @@ func (l *Loop) Steps() uint64 { return l.steps }
 func (l *Loop) Run() Time {
 	l.stopped = false
 	for len(l.h) > 0 && !l.stopped {
-		e := heap.Pop(&l.h).(event)
+		e := l.h.pop()
 		l.now = e.at
 		l.steps++
 		e.fn(e.at)
@@ -106,7 +132,7 @@ func (l *Loop) Run() Time {
 func (l *Loop) RunUntil(deadline Time) Time {
 	l.stopped = false
 	for len(l.h) > 0 && !l.stopped && l.h[0].at <= deadline {
-		e := heap.Pop(&l.h).(event)
+		e := l.h.pop()
 		l.now = e.at
 		l.steps++
 		e.fn(e.at)

@@ -22,9 +22,12 @@ type Backend interface {
 	PageSize() int
 	// WriteTable stores blob as a new table. level is a lifetime hint
 	// (LSM level): short-lived L0 data and long-lived deep-level data may
-	// be placed differently.
+	// be placed differently. The backend keeps blob, not a copy: the
+	// caller must not modify it afterwards.
 	WriteTable(at sim.Time, blob []byte, level int) (TableHandle, sim.Time, error)
 	// ReadAt reads bytes [off, off+n) of a table, page-granular underneath.
+	// The result may alias pages the device holds and is read-only; its
+	// capacity equals its length, so appending to it copies.
 	ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, []byte, error)
 	// Delete drops a table, releasing its space.
 	Delete(at sim.Time, h TableHandle) error
@@ -135,20 +138,29 @@ func (b *ConvBackend) alloc(pages int64) (int64, bool) {
 		return start
 	}
 	if b.policy == ScatterFit {
-		// Pick uniformly among fitting extents (xorshift, deterministic).
-		var candidates []int
+		// Pick uniformly among fitting extents (xorshift, deterministic):
+		// count them, draw k, then walk to the k-th.
+		fitting := 0
 		for i := range b.free {
 			if fits(i) {
-				candidates = append(candidates, i)
+				fitting++
 			}
 		}
-		if len(candidates) == 0 {
+		if fitting == 0 {
 			return 0, false
 		}
 		b.rngState ^= b.rngState << 13
 		b.rngState ^= b.rngState >> 7
 		b.rngState ^= b.rngState << 17
-		return take(candidates[b.rngState%uint64(len(candidates))]), true
+		k := b.rngState % uint64(fitting)
+		for i := range b.free {
+			if fits(i) {
+				if k == 0 {
+					return take(i), true
+				}
+				k--
+			}
+		}
 	}
 	for i := range b.free {
 		if fits(i) {
@@ -211,26 +223,9 @@ func (b *ConvBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, 
 	if off < 0 || n < 0 || off+n > t.size {
 		return at, nil, ErrBadReadSpan
 	}
-	ps := int64(b.PageSize())
-	out := make([]byte, 0, n)
-	done := at
-	for pos := int64(off); pos < int64(off+n); {
-		page := pos / ps
-		inPage := pos % ps
-		d, data, err := b.dev.ReadPage(at, t.ext.start+page)
-		if err != nil {
-			return at, nil, err
-		}
-		chunk := padTo(data, int(ps))
-		take := ps - inPage
-		if rem := int64(off+n) - pos; take > rem {
-			take = rem
-		}
-		out = append(out, chunk[inPage:inPage+take]...)
-		pos += take
-		done = sim.Max(done, d)
-	}
-	return done, out, nil
+	return readSpan(at, b.PageSize(), off, n, func(page int64) (sim.Time, []byte, error) {
+		return b.dev.ReadPage(at, t.ext.start+page)
+	})
 }
 
 // Delete implements Backend: trim the extent and return it to the free
@@ -276,12 +271,66 @@ func (b *ConvBackend) ResetWAL(at sim.Time) error {
 	return b.dev.Trim(at, b.walBase, b.walPages)
 }
 
-// padTo right-pads data with zeros to n bytes.
-func padTo(data []byte, n int) []byte {
-	if len(data) >= n {
-		return data[:n]
+// readSpan reads bytes [off, off+n) of a table whose page p readPage
+// returns. Every page the span touches is read once, in order, and the
+// result is the concatenation of the payloads (zero-padded to the page
+// size), sliced to the span.
+func readSpan(at sim.Time, ps, off, n int, readPage func(page int64) (sim.Time, []byte, error)) (sim.Time, []byte, error) {
+	r := spanReader{n: n}
+	done := at
+	for pos := off; pos < off+n; {
+		d, data, err := readPage(int64(pos / ps))
+		if err != nil {
+			return at, nil, err
+		}
+		inPage := pos % ps
+		take := min(ps-inPage, off+n-pos)
+		r.add(data, inPage, inPage+take)
+		pos += take
+		done = sim.Max(done, d)
 	}
-	out := make([]byte, n)
-	copy(out, data)
-	return out
+	return done, r.bytes(), nil
+}
+
+// spanReader assembles a read from page payloads without copying while it
+// can. As long as each payload continues the previous one in memory (a
+// table's pages are slices of one blob, which the device keeps by
+// reference), it only widens a view over them. At the first gap, or at a
+// short or missing payload, it copies what it has once and appends from
+// then on.
+type spanReader struct {
+	view   []byte
+	n      int  // total length, the capacity of a copy
+	copied bool // view is a private copy
+}
+
+// add appends bytes [lo, hi) of a page whose stored payload is data; bytes
+// past the end of data read as zeros.
+func (r *spanReader) add(data []byte, lo, hi int) {
+	part := data[min(lo, len(data)):min(hi, len(data))]
+	if !r.copied && len(part) == hi-lo {
+		if r.view == nil {
+			r.view = part
+			return
+		}
+		if l := len(r.view); cap(r.view)-l >= len(part) && &r.view[:l+1][l] == &part[0] {
+			r.view = r.view[:l+len(part)]
+			return
+		}
+	}
+	if !r.copied {
+		r.view = append(make([]byte, 0, r.n), r.view...)
+		r.copied = true
+	}
+	r.view = append(r.view, part...)
+	r.view = append(r.view, make([]byte, hi-lo-len(part))...)
+}
+
+// bytes returns the assembled span with its capacity clipped to its
+// length, so a caller's append cannot write into device-held pages.
+func (r *spanReader) bytes() []byte {
+	if r.view == nil {
+		return []byte{}
+	}
+	return r.view[:len(r.view):len(r.view)]
 }

@@ -11,7 +11,7 @@ import (
 	"blockhead/internal/zns"
 )
 
-func convBackend(t *testing.T) *ConvBackend {
+func convBackend(t testing.TB) *ConvBackend {
 	t.Helper()
 	dev, err := ftl.New(ftl.Config{
 		Geom: flash.Geometry{Channels: 2, DiesPerChan: 2, PlanesPerDie: 1,
@@ -32,7 +32,7 @@ func convBackend(t *testing.T) *ConvBackend {
 	return b
 }
 
-func znsBackend(t *testing.T) *ZNSBackend {
+func znsBackend(t testing.TB) *ZNSBackend {
 	t.Helper()
 	dev, err := zns.New(zns.Config{
 		Geom: flash.Geometry{Channels: 2, DiesPerChan: 2, PlanesPerDie: 1,
@@ -51,7 +51,7 @@ func znsBackend(t *testing.T) *ZNSBackend {
 	return b
 }
 
-func backends(t *testing.T) map[string]Backend {
+func backends(t testing.TB) map[string]Backend {
 	return map[string]Backend{"conv": convBackend(t), "zns": znsBackend(t)}
 }
 

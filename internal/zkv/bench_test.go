@@ -43,9 +43,11 @@ func BenchmarkTableBuilder(b *testing.B) {
 		keys[i] = []byte(fmt.Sprintf("key%08d", i))
 	}
 	val := make([]byte, 100)
+	var tb tableBuilder // one builder, reset per table, as DB uses it
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb := newTableBuilder()
+		tb.reset()
 		for _, k := range keys {
 			tb.add(k, val)
 		}

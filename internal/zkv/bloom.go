@@ -44,8 +44,10 @@ func bloomHash(key []byte) uint64 {
 	return h.Sum64()
 }
 
-func (b *bloom) add(key []byte) {
-	h := bloomHash(key)
+func (b *bloom) add(key []byte) { b.addHash(bloomHash(key)) }
+
+// addHash adds a key by its bloomHash.
+func (b *bloom) addHash(h uint64) {
 	h1, h2 := uint32(h), uint32(h>>32)
 	n := uint32(len(b.bits) * 8)
 	for i := uint32(0); i < b.k; i++ {
@@ -70,13 +72,11 @@ func (b *bloom) mayContain(key []byte) bool {
 	return true
 }
 
-// marshal serializes the filter as k (uvarint) followed by the bit array.
-func (b *bloom) marshal() []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(b.k))
-	out := make([]byte, 0, n+len(b.bits))
-	out = append(out, hdr[:n]...)
-	return append(out, b.bits...)
+// appendTo appends the serialized filter to dst: k (uvarint) followed by
+// the bit array.
+func (b *bloom) appendTo(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(b.k))
+	return append(dst, b.bits...)
 }
 
 // unmarshalBloom parses a marshaled filter; a nil/empty buffer yields nil

@@ -43,7 +43,7 @@ func TestBloomMarshalRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.add([]byte(fmt.Sprintf("k%d", i)))
 	}
-	b2, err := unmarshalBloom(b.marshal())
+	b2, err := unmarshalBloom(b.appendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,9 +126,11 @@ func (db *DB) merge(at sim.Time, tables []*tableMeta, prios []int, outLevel int)
 	}
 
 	var outs []*tableMeta
-	b := newTableBuilder()
+	b := &db.tb
+	b.reset()
 	emit := func() error {
 		blob, meta := b.finish()
+		b.reset()
 		h, wDone, err := db.backend.WriteTable(done, blob, outLevel)
 		if err != nil {
 			return err
@@ -176,7 +178,6 @@ func (db *DB) merge(at sim.Time, tables []*tableMeta, prios []int, outLevel int)
 			if err := emit(); err != nil {
 				return nil, done, err
 			}
-			b = newTableBuilder()
 		}
 	}
 	for _, s := range srcs {

@@ -85,7 +85,8 @@ type DB struct {
 	mem    *memtable
 	levels [][]*tableMeta // levels[0] unsorted (newest last); 1+ sorted, disjoint
 	seq    uint64
-	cursor [][]byte // per-level compaction cursor (last victim's lastKey)
+	cursor [][]byte     // per-level compaction cursor (last victim's lastKey)
+	tb     tableBuilder // shared by Flush and merge, which never overlap
 
 	stats Stats
 	// lastStallNs records how long the most recent Put waited on flush +
@@ -262,9 +263,11 @@ func (db *DB) Flush(at sim.Time) (sim.Time, error) {
 		return at, nil
 	}
 	it := db.mem.iter()
-	b := newTableBuilder()
+	b := &db.tb
+	b.reset()
 	emit := func() error {
 		blob, meta := b.finish()
+		b.reset()
 		h, done, err := db.backend.WriteTable(at, blob, 0)
 		if err != nil {
 			return err
@@ -284,7 +287,6 @@ func (db *DB) Flush(at sim.Time) (sim.Time, error) {
 			if err := emit(); err != nil {
 				return at, err
 			}
-			b = newTableBuilder()
 		}
 	}
 	if !b.empty() {

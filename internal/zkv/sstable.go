@@ -47,44 +47,57 @@ type tableMeta struct {
 	seq      uint64       // creation sequence; larger = newer (L0 ordering)
 }
 
-// tableBuilder accumulates sorted entries into a blob.
+// tableBuilder accumulates sorted entries into a blob. A DB keeps one and
+// resets it between tables: the entry buffer, the key hashes and the
+// last-key scratch keep their capacity, while everything a tableMeta or
+// the backend keeps (the blob, the index, the first and last keys, the
+// filter) is allocated fresh for each table.
 type tableBuilder struct {
-	buf     bytes.Buffer
-	index   []indexEntry
-	keys    [][]byte // copies for the Bloom filter
-	first   []byte
+	buf     []byte   // entry region
+	tail    []byte   // index, filter and footer, assembled by finish
+	hashes  []uint64 // bloomHash of every key, for the filter
 	last    []byte
+	index   []indexEntry
+	first   []byte
 	count   int
 	nextIdx int
-	scratch [2 * binary.MaxVarintLen64]byte
 }
 
-func newTableBuilder() *tableBuilder { return &tableBuilder{} }
+// reset empties the builder for the next table, keeping its scratch.
+func (b *tableBuilder) reset() {
+	b.buf = b.buf[:0]
+	b.tail = b.tail[:0]
+	b.hashes = b.hashes[:0]
+	b.last = b.last[:0]
+	b.index = nil
+	b.first = nil
+	b.count = 0
+	b.nextIdx = 0
+}
 
 // add appends an entry; keys must arrive in strictly increasing order.
 func (b *tableBuilder) add(key, value []byte) {
 	if b.count > 0 && bytes.Compare(key, b.last) <= 0 {
 		panic("zkv: tableBuilder keys out of order")
 	}
-	if b.buf.Len() >= b.nextIdx {
+	if len(b.buf) >= b.nextIdx {
 		k := append([]byte(nil), key...)
-		b.index = append(b.index, indexEntry{key: k, off: b.buf.Len()})
-		b.nextIdx = b.buf.Len() + indexInterval
+		b.index = append(b.index, indexEntry{key: k, off: len(b.buf)})
+		b.nextIdx = len(b.buf) + indexInterval
 	}
-	n := binary.PutUvarint(b.scratch[:], uint64(len(key)))
 	vlen := uint64(0)
 	if value != nil {
 		vlen = uint64(len(value)) + 1
 	}
-	n += binary.PutUvarint(b.scratch[n:], vlen)
-	b.buf.Write(b.scratch[:n])
-	b.buf.Write(key)
-	b.buf.Write(value)
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(key)))
+	b.buf = binary.AppendUvarint(b.buf, vlen)
+	b.buf = append(b.buf, key...)
+	b.buf = append(b.buf, value...)
 	if b.count == 0 {
 		b.first = append([]byte(nil), key...)
 	}
-	b.last = append([]byte(nil), key...)
-	b.keys = append(b.keys, b.last)
+	b.last = append(b.last[:0], key...)
+	b.hashes = append(b.hashes, bloomHash(key))
 	b.count++
 }
 
@@ -92,38 +105,38 @@ func (b *tableBuilder) add(key, value []byte) {
 func (b *tableBuilder) empty() bool { return b.count == 0 }
 
 // sizeEstimate reports the current entry-region size.
-func (b *tableBuilder) sizeEstimate() int { return b.buf.Len() }
+func (b *tableBuilder) sizeEstimate() int { return len(b.buf) }
 
 // finish serializes the blob and returns it with the table's metadata
 // (handle and level are filled in by the caller after the backend write).
+// The blob is a fresh allocation of exactly its size, so the backend may
+// keep it while the builder is reset and reused.
 func (b *tableBuilder) finish() ([]byte, *tableMeta) {
-	indexOff := b.buf.Len()
-	var scratch [binary.MaxVarintLen64]byte
+	indexOff := len(b.buf)
+	tail := b.tail[:0]
 	for _, ie := range b.index {
-		n := binary.PutUvarint(scratch[:], uint64(len(ie.key)))
-		b.buf.Write(scratch[:n])
-		b.buf.Write(ie.key)
-		n = binary.PutUvarint(scratch[:], uint64(ie.off))
-		b.buf.Write(scratch[:n])
+		tail = binary.AppendUvarint(tail, uint64(len(ie.key)))
+		tail = append(tail, ie.key...)
+		tail = binary.AppendUvarint(tail, uint64(ie.off))
 	}
-	filterOff := b.buf.Len()
+	filterOff := indexOff + len(tail)
 	filter := newBloom(b.count)
-	for _, k := range b.keys {
-		filter.add(k)
+	for _, h := range b.hashes {
+		filter.addHash(h)
 	}
-	b.buf.Write(filter.marshal())
-	var footer [footerSize]byte
-	binary.LittleEndian.PutUint32(footer[0:], uint32(indexOff))
-	binary.LittleEndian.PutUint32(footer[4:], uint32(filterOff))
-	binary.LittleEndian.PutUint32(footer[8:], uint32(b.count))
-	binary.LittleEndian.PutUint32(footer[12:], tableMagic)
-	b.buf.Write(footer[:])
-	blob := b.buf.Bytes()
+	tail = filter.appendTo(tail)
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(indexOff))
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(filterOff))
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(b.count))
+	tail = binary.LittleEndian.AppendUint32(tail, tableMagic)
+	b.tail = tail
+	blob := make([]byte, indexOff+len(tail))
+	copy(blob[copy(blob, b.buf):], tail)
 	meta := &tableMeta{
 		sizeB:    len(blob),
 		entries:  b.count,
 		firstKey: b.first,
-		lastKey:  b.last,
+		lastKey:  append([]byte(nil), b.last...),
 		index:    b.index,
 		indexOff: indexOff,
 		filter:   filter,

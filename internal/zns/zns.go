@@ -99,7 +99,10 @@ type Config struct {
 	// MaxOpen bounds open zones; 0 = same as MaxActive.
 	MaxOpen int
 
-	// StoreData keeps written payloads so reads can return them.
+	// StoreData keeps written payloads so reads can return them. The device
+	// keeps the slice Append was given, not a copy; Read and simple copy
+	// hand the same slice on. Callers must not modify a payload after
+	// writing it or after reading it back.
 	StoreData bool
 
 	// Endurance is the per-block erase budget; 0 = unlimited. Worn-out
