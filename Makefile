@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: all check vet build lint lint-fix-dryrun test bench-telemetry bench-datapath bench bench-compare fuzz fuzz-zns fuzz-ftl fuzz-faults fuzz-shards fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign update-golden clean
+.PHONY: all check vet build lint lint-fix-dryrun test bench-telemetry bench-datapath bench bench-compare fuzz fuzz-zns fuzz-ftl fuzz-faults fuzz-shards fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign report-golden update-golden clean
 
 all: check
 
-check: vet build lint test bench-telemetry bench-datapath fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign
+check: vet build lint test bench-telemetry bench-datapath fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign report-golden
 
 vet:
 	$(GO) vet ./...
@@ -52,9 +52,11 @@ bench-datapath:
 	$(GO) test -run='^$$' -bench='TableBuilder|BackendReadAt|LoopEvent' -benchmem ./internal/zkv/ ./internal/sim/
 
 # Regenerate the pinned JSON schemas served by /metrics.json and
-# /attribution.json after a deliberate schema change.
+# /attribution.json, and the -explain / -whatif report goldens under
+# internal/core/testdata (TestReportGoldens), after a deliberate change.
 update-golden:
 	$(GO) test ./internal/telemetry/httpserve/ -update
+	$(GO) test ./internal/core/ -run '^TestReportGoldens$$' -update
 
 # The full per-table benchmark suite (slow; custom metrics carry results).
 bench:
@@ -119,6 +121,14 @@ shard-campaign:
 	$(GO) run ./cmd/znsbench -quick -shards 4 -run E4,E13,E14 -slo -faults default > /tmp/blockhead-shards-4.txt
 	cmp /tmp/blockhead-shards-1.txt /tmp/blockhead-shards-2.txt
 	cmp /tmp/blockhead-shards-1.txt /tmp/blockhead-shards-4.txt
+
+# The full report's acceptance bar: a full-size `znsbench` run reproduces
+# the committed docs/znsbench_full_output.txt byte for byte (below its
+# 3-line header). Any drift is a modeling change: regenerate the file
+# deliberately with the command its header names.
+report-golden:
+	$(GO) run ./cmd/znsbench > /tmp/blockhead-full-output.txt
+	tail -n +4 docs/znsbench_full_output.txt | cmp - /tmp/blockhead-full-output.txt
 
 # Short fuzz pass over the trace decoder.
 fuzz:

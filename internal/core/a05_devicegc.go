@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 
-	"blockhead/internal/flash"
 	"blockhead/internal/ftl"
-	"blockhead/internal/sim"
-	"blockhead/internal/workload"
 )
 
 func init() {
@@ -20,48 +17,11 @@ func init() {
 
 // E6ConventionalIncremental is E6's baseline device upgraded with
 // device-side incremental GC — the strongest conventional controller our
-// model supports.
+// model supports. A5 renders no forensics, so the arm runs unattributed.
 func E6ConventionalIncremental(cfg Config) (E6Result, error) {
-	dev, err := ftl.New(ftl.Config{
-		Geom:              e6Geometry(),
-		Lat:               flash.LatenciesFor(flash.TLC),
-		OPFraction:        0.11,
-		GCMode:            ftl.GCDeviceIncremental,
-		GCChunkPages:      8,
-		HotColdSeparation: true,
-		TrimSupported:     true,
-	})
-	if err != nil {
-		return E6Result{}, err
-	}
-	var at sim.Time
-	for lpn := int64(0); lpn < dev.CapacityPages(); lpn++ {
-		if at, err = dev.WritePage(at, lpn, nil); err != nil {
-			return E6Result{}, err
-		}
-	}
-	src := workload.NewSource(cfg.Seed)
-	hc := workload.NewHotCold(src, dev.CapacityPages(), 0.1, 0.9)
-	for i := int64(0); i < dev.CapacityPages(); i++ { // age to steady state
-		if at, err = dev.WritePage(at, hc.Next(), nil); err != nil {
-			return E6Result{}, err
-		}
-	}
-	rKeys := workload.NewUniform(src, dev.CapacityPages())
-	return e6Measure(e6Stack{
-		name:  "conventional (device-incremental GC)",
-		write: func(t sim.Time) (sim.Time, error) { return dev.WritePage(t, hc.Next(), nil) },
-		read: func(t sim.Time) (sim.Time, error) {
-			done, _, err := dev.ReadPage(t, rKeys.Next())
-			return done, err
-		},
-		counters: func() (uint64, uint64) {
-			c := dev.Counters()
-			return c.HostWritePages, c.FlashProgramPages
-		},
-		at:  at,
-		src: src,
-	}, cfg)
+	fc := e6ConvConfig(cfg)
+	fc.GCMode, fc.GCChunkPages = ftl.GCDeviceIncremental, 8
+	return e6Conventional(cfg, nil, "conventional (device-incremental GC)", fc)
 }
 
 func runA5(cfg Config) (Report, error) {

@@ -8,6 +8,7 @@ import (
 	"blockhead/internal/offload"
 	"blockhead/internal/placement"
 	"blockhead/internal/sim"
+	"blockhead/internal/telemetry/critpath"
 	"blockhead/internal/workload"
 )
 
@@ -157,6 +158,34 @@ func TestE6Shape(t *testing.T) {
 	}
 	if host.WA >= conv.WA {
 		t.Errorf("host WA %.2f must be below conv %.2f", host.WA, conv.WA)
+	}
+}
+
+// A5's device-incremental arm must run under the same counterfactual
+// timing as its two siblings: halving NAND program time is a different
+// device, so the -whatif result must move (and closed-loop writes speed up).
+func TestA5IncrementalHonorsScenario(t *testing.T) {
+	base, err := E6ConventionalIncremental(quickCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := critpath.ParseScenario("nand_program:0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickCfg
+	cfg.Scenario = &sc
+	fast, err := E6ConventionalIncremental(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.WritePagesPS <= base.WritePagesPS {
+		t.Errorf("nand_program:0.5 write tput %.0f pages/s, want above the nil-scenario %.0f",
+			fast.WritePagesPS, base.WritePagesPS)
+	}
+	if fast.ReadP999 == base.ReadP999 && fast.WA == base.WA {
+		t.Errorf("nand_program:0.5 run matches the nil-scenario run (p999 %v, WA %.2f): scenario ignored",
+			fast.ReadP999, fast.WA)
 	}
 }
 

@@ -58,13 +58,6 @@ func wpSerialScale(cfg Config) (bool, float64) {
 	return true, f
 }
 
-// critDrain captures and resets the recorder attached to the probe's sink.
-// Called once before a measured window (discarding prefill/aging paths) and
-// once after (the measurement).
-func critDrain(probe *telemetry.Probe) critpath.Snapshot {
-	return critpath.DrainFromSink(probe.Attribution())
-}
-
 // CritSection is one configuration's critical-path block: the recorder
 // snapshot over the measured window, the replay-model options for its
 // stack, and the exactly measured attribution the prediction ratios are

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"blockhead/internal/flash"
-	"blockhead/internal/ftl"
 	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
 	"blockhead/internal/telemetry/critpath"
-	"blockhead/internal/telemetry/exemplar"
 	"blockhead/internal/workload"
 	"blockhead/internal/zns"
 )
@@ -28,6 +26,7 @@ func e4Geometry() flash.Geometry {
 }
 
 // E4Result is one device's measurement, exposed for benches and tests.
+// The embedded forensics cover the measured window of the drive.
 type E4Result struct {
 	Name         string
 	WritePagesPS float64
@@ -37,92 +36,42 @@ type E4Result struct {
 	ReadP99      sim.Time
 	ReadP999     sim.Time
 	WriteP99     sim.Time
-	// Attr is the per-phase latency attribution accumulated over the
-	// measured window of this configuration's drive.
-	Attr telemetry.AttrSnapshot
-	// Crit is the critical-path recording over the same window; CritOpts
-	// selects the stack's replay model (zoned: erases are resets).
-	Crit     critpath.Snapshot
-	CritOpts critpath.PredictOpts
-	// Exem is the drained exemplar reservoir over the same window (the
-	// slowest IOs with full forensics); ExemNames are the tenant labels.
-	Exem      exemplar.Snapshot
-	ExemNames [telemetry.MaxTenants]string
-	// Device is the end-of-run device snapshot (wear, zone census, audit).
-	Device DeviceState
+	forensics
 }
-
-// rebaseSeqs shifts the result's exemplar sequence numbers from its
-// part's private numbering to the experiment's cross-stack numbering.
-func (e *E4Result) rebaseSeqs(delta uint64) { e.Exem.Rebase(delta) }
 
 // E4Conventional drives a steady-state conventional SSD: the device is
 // pre-filled and the writers sustain uniform random overwrites, so the FTL
 // garbage-collects continuously while Poisson reads arrive.
 func E4Conventional(cfg Config) (E4Result, error) {
-	dev, err := ftl.NewDefault(e4Geometry(), scaledLatencies(cfg, flash.LatenciesFor(flash.TLC), false), 0.07)
+	s, dev, err := newConvStack(cfg, attrProbe(cfg), "conventional (OP 7%)", critpath.PredictOpts{},
+		convConfig(cfg, e4Geometry(), 0.07))
 	if err != nil {
 		return E4Result{}, err
 	}
-	probe := attrProbe(cfg)
-	dev.SetProbe(probe)
-	exemplarArm(cfg, probe, "conventional (OP 7%)", critpath.PredictOpts{},
-		convDevSnap(dev, e4Geometry()))
 	var at sim.Time
-	for lpn := int64(0); lpn < dev.CapacityPages(); lpn++ {
+	for lpn := int64(0); lpn < s.capacity; lpn++ {
 		if at, err = dev.WritePage(at, lpn, nil); err != nil {
 			return E4Result{}, err
 		}
 	}
 	src := workload.NewSource(cfg.Seed)
-	wKeys := workload.NewUniform(src, dev.CapacityPages())
+	wKeys := workload.NewUniform(src, s.capacity)
 	// Age the device to GC steady state: overwrite 1.5x the logical space
 	// so the measurement sees the sustained-GC regime, not a fresh drive.
-	for i := int64(0); i < dev.CapacityPages()*3/2; i++ {
+	for i := int64(0); i < s.capacity*3/2; i++ {
 		if at, err = dev.WritePage(at, wKeys.Next(), nil); err != nil {
 			return E4Result{}, err
 		}
 	}
-	rKeys := workload.NewUniform(src, dev.CapacityPages())
-	dur, warm := e4Duration(cfg)
-	before := probe.Attr.Snapshot()
-	critDrain(probe)     // discard prefill/aging paths
-	exemplarDrain(probe) // likewise for exemplars
-	res := RunMixed(MixedCfg{
-		Writers: 4,
-		Write: func(t sim.Time) (sim.Time, error) {
+	rKeys := workload.NewUniform(src, s.capacity)
+	return e4Measure(s, cfg, at, src,
+		func(t sim.Time) (sim.Time, error) {
 			return dev.WritePage(sim.Max(t, at), wKeys.Next(), nil)
 		},
-		ReadRate: e4ReadRate,
-		Read: func(t sim.Time) (sim.Time, error) {
+		func(t sim.Time) (sim.Time, error) {
 			done, _, err := dev.ReadPage(sim.Max(t, at), rKeys.Next())
 			return done, err
-		},
-		Start:    at,
-		Duration: dur,
-		Warmup:   warm,
-		Src:      src,
-		Probe:    probe,
-	})
-	if res.Err != nil {
-		return E4Result{}, res.Err
-	}
-	return E4Result{
-		Name:         "conventional (OP 7%)",
-		WritePagesPS: res.WriteScale,
-		ReadMean:     res.ReadLat.Mean,
-		ReadP50:      res.ReadLat.P50,
-		ReadP90:      res.ReadLat.P90,
-		ReadP99:      res.ReadLat.P99,
-		ReadP999:     res.ReadLat.P999,
-		WriteP99:     res.WriteLat.P99,
-		Attr:         probe.Attr.Snapshot().Delta(before),
-		Crit:         critDrain(probe),
-		CritOpts:     critpath.PredictOpts{},
-		Exem:         exemplarDrain(probe),
-		ExemNames:    exemplarNames(probe),
-		Device:       DeviceState{Name: "conventional (OP 7%)", Wear: dev.Flash().Wear()},
-	}, nil
+		})
 }
 
 // E4ZNS drives the zone-native equivalent: writers append through zones in
@@ -130,18 +79,13 @@ func E4Conventional(cfg Config) (E4Result, error) {
 // the host schedules all reclamation, and no data is ever copied.
 func E4ZNS(cfg Config) (E4Result, error) {
 	scaleWP, wpScale := wpSerialScale(cfg)
-	dev, err := zns.New(zns.Config{
-		Geom: e4Geometry(), Lat: scaledLatencies(cfg, flash.LatenciesFor(flash.TLC), true),
-		ZoneBlocks: 4, ScaleWPSerial: scaleWP, WPSerialScale: wpScale})
+	s, dev, err := newZNSStack(cfg, "zns (host-scheduled resets)",
+		critpath.PredictOpts{ErasesAreResets: true},
+		zns.Config{Geom: e4Geometry(), Lat: scaledLatencies(cfg, flash.LatenciesFor(flash.TLC), true),
+			ZoneBlocks: 4, ScaleWPSerial: scaleWP, WPSerialScale: wpScale})
 	if err != nil {
 		return E4Result{}, err
 	}
-	probe := attrProbe(cfg)
-	dev.SetProbe(probe)
-	exemplarArm(cfg, probe, "zns (host-scheduled resets)",
-		critpath.PredictOpts{ErasesAreResets: true},
-		znsDevSnap(dev, e4Geometry(), rawReclaim(dev)))
-	aud := dev.AttachAuditor()
 	nz := dev.NumZones()
 	// Pre-fill every zone so reads have targets and reuse requires resets.
 	var at sim.Time
@@ -153,7 +97,7 @@ func E4ZNS(cfg Config) (E4Result, error) {
 		}
 	}
 	src := workload.NewSource(cfg.Seed)
-	rSrc := workload.NewUniform(src, int64(nz)*dev.ZonePages())
+	rSrc := workload.NewUniform(src, s.capacity)
 	nextZone := 0
 	var cur = -1
 	writeOne := func(t sim.Time) (sim.Time, error) {
@@ -173,15 +117,9 @@ func E4ZNS(cfg Config) (E4Result, error) {
 		_, done, err := dev.Append(t, cur, nil)
 		return done, err
 	}
-	dur, warm := e4Duration(cfg)
-	before := probe.Attr.Snapshot()
-	critDrain(probe)     // discard prefill paths
-	exemplarDrain(probe) // likewise for exemplars
-	res := RunMixed(MixedCfg{
-		Writers:  4,
-		Write:    func(t sim.Time) (sim.Time, error) { return writeOne(sim.Max(t, at)) },
-		ReadRate: e4ReadRate,
-		Read: func(t sim.Time) (sim.Time, error) {
+	return e4Measure(s, cfg, at, src,
+		func(t sim.Time) (sim.Time, error) { return writeOne(sim.Max(t, at)) },
+		func(t sim.Time) (sim.Time, error) {
 			// Read only below the target zone's write pointer.
 			lba := rSrc.Next()
 			z, off := dev.ZoneOf(lba)
@@ -195,21 +133,29 @@ func E4ZNS(cfg Config) (E4Result, error) {
 			}
 			done, _, err := dev.Read(sim.Max(t, at), dev.LBA(z, off))
 			return done, err
-		},
-		Start:    at,
-		Duration: dur,
-		Warmup:   warm,
-		Src:      src,
-		Probe:    probe,
+		})
+}
+
+// e4Measure drives one prepared stack: closed-loop writers plus Poisson
+// reads from at, with the whole drive as the measured window.
+func e4Measure(s stack, cfg Config, at sim.Time, src *workload.Source, write, read OpFunc) (E4Result, error) {
+	dur, warm := e4Duration(cfg)
+	w := s.open()
+	res := RunMixed(MixedCfg{
+		Writers: 4, Write: write,
+		ReadRate: e4ReadRate, Read: read,
+		Start: at, Duration: dur, Warmup: warm, Src: src,
+		Probe: s.probe,
 	})
 	if res.Err != nil {
 		return E4Result{}, res.Err
 	}
-	if err := aud.Check(); err != nil {
+	f, err := w.close()
+	if err != nil {
 		return E4Result{}, err
 	}
 	return E4Result{
-		Name:         "zns (host-scheduled resets)",
+		Name:         s.name,
 		WritePagesPS: res.WriteScale,
 		ReadMean:     res.ReadLat.Mean,
 		ReadP50:      res.ReadLat.P50,
@@ -217,12 +163,7 @@ func E4ZNS(cfg Config) (E4Result, error) {
 		ReadP99:      res.ReadLat.P99,
 		ReadP999:     res.ReadLat.P999,
 		WriteP99:     res.WriteLat.P99,
-		Attr:         probe.Attr.Snapshot().Delta(before),
-		Crit:         critDrain(probe),
-		CritOpts:     critpath.PredictOpts{ErasesAreResets: true},
-		Exem:         exemplarDrain(probe),
-		ExemNames:    exemplarNames(probe),
-		Device:       deviceState("zns (host-scheduled resets)", dev, aud),
+		forensics:    f,
 	}, nil
 }
 
@@ -253,22 +194,15 @@ func runE4(cfg Config) (Report, error) {
 			fmt.Sprintf("%.0f", e.ReadP99.Micros()),
 			fmt.Sprintf("%.0f", e.ReadP999.Micros()),
 			fmt.Sprintf("%.0f", e.WriteP99.Micros()))
-		r.AddBreakdown(e.Name, e.Attr)
-		r.AddCrit(cfg, e.Name, e.Crit, e.CritOpts, e.Attr)
-		r.AddExemplars(cfg, e.Name, e.Exem, e.CritOpts, e.ExemNames)
-		r.AddDeviceState(e.Device)
-		r.Bench = append(r.Bench, BenchEntry{
+		r.addForensics(cfg, e.Name, e.forensics, BenchEntry{
 			Experiment: "E4", Name: e.Name,
-			WritePPS:    e.WritePagesPS,
-			ReadMeanUs:  e.ReadMean.Micros(),
-			ReadP50Us:   e.ReadP50.Micros(),
-			ReadP90Us:   e.ReadP90.Micros(),
-			ReadP99Us:   e.ReadP99.Micros(),
-			ReadP999Us:  e.ReadP999.Micros(),
-			WriteP99Us:  e.WriteP99.Micros(),
-			Attribution: e.Attr.Dump(),
-			CritPath:    critBench(e.Crit, e.CritOpts),
-			Exemplars:   e.Exem.Bench(),
+			WritePPS:   e.WritePagesPS,
+			ReadMeanUs: e.ReadMean.Micros(),
+			ReadP50Us:  e.ReadP50.Micros(),
+			ReadP90Us:  e.ReadP90.Micros(),
+			ReadP99Us:  e.ReadP99.Micros(),
+			ReadP999Us: e.ReadP999.Micros(),
+			WriteP99Us: e.WriteP99.Micros(),
 		})
 	}
 	r.AddNote("throughput ratio (zns/conv): %.2fx; read-mean reduction: %.0f%%; read-p99 ratio: %.2fx",

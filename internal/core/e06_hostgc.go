@@ -9,7 +9,6 @@ import (
 	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
 	"blockhead/internal/telemetry/critpath"
-	"blockhead/internal/telemetry/exemplar"
 	"blockhead/internal/workload"
 	"blockhead/internal/zns"
 )
@@ -30,6 +29,7 @@ func e6Geometry() flash.Geometry {
 
 // E6Result is one configuration's measurement: closed-loop write throughput
 // (phase A) and read tail latency under a fixed offered load (phase B).
+// The embedded forensics cover phase B, the one the tail claims are about.
 type E6Result struct {
 	Name         string
 	WritePagesPS float64
@@ -41,38 +41,17 @@ type E6Result struct {
 	ReadP999     sim.Time
 	WriteP99     sim.Time
 	WriteMax     sim.Time
-	// Attr is the per-phase latency attribution over the tail-latency phase
-	// (phase B) of the drive.
-	Attr telemetry.AttrSnapshot
-	// Crit is the critical-path recording over phase B; CritOpts selects
-	// the stack's replay model (zoned: erases are resets).
-	Crit     critpath.Snapshot
-	CritOpts critpath.PredictOpts
-	// Exem is the drained exemplar reservoir over phase B (the slowest IOs
-	// with full forensics); ExemNames are the tenant labels.
-	Exem      exemplar.Snapshot
-	ExemNames [telemetry.MaxTenants]string
-	// Device is the end-of-run device snapshot (wear, zone census, audit).
-	Device DeviceState
+	forensics
 }
 
-// rebaseSeqs shifts the result's exemplar sequence numbers from its
-// part's private numbering to the experiment's cross-stack numbering.
-func (e *E6Result) rebaseSeqs(delta uint64) { e.Exem.Rebase(delta) }
-
-// e6Stack abstracts the two configurations for the shared two-phase drive.
+// e6Stack is one prepared configuration for the shared two-phase drive.
 type e6Stack struct {
-	name     string
+	stack
 	write    OpFunc
 	read     OpFunc
-	maintain OpFunc // optional paced maintenance (host-scheduled GC)
-	counters func() (hostWrites, flashPrograms uint64)
+	maintain OpFunc   // optional paced maintenance (host-scheduled GC)
 	at       sim.Time // virtual time after pre-fill and aging
 	src      *workload.Source
-	probe    *telemetry.Probe // per-stack attribution probe
-	critOpts critpath.PredictOpts
-	// device snapshots the end-of-run device state (wear/census/audit).
-	device func() (DeviceState, error)
 }
 
 // The fixed offered load for the tail phase: ~55% of the conventional
@@ -112,11 +91,8 @@ func e6Measure(s e6Stack, cfg Config) (E6Result, error) {
 		return E6Result{}, resA.Err
 	}
 	// Phase B: fixed offered load, measure read tails. The host stack runs
-	// its reclamation as a separate paced stream. The attribution breakdown
-	// covers this phase only — it is the one the tail claims are about.
-	beforeB := s.probe.Attribution().Snapshot()
-	critDrain(s.probe)     // discard prefill/phase-A paths
-	exemplarDrain(s.probe) // likewise for exemplars
+	// its reclamation as a separate paced stream.
+	w := s.open()
 	resB := RunMixed(MixedCfg{
 		WriteRate: e6WriteRate, Write: s.write,
 		ReadRate: e6ReadRate, Read: s.read,
@@ -127,28 +103,15 @@ func e6Measure(s e6Stack, cfg Config) (E6Result, error) {
 	if resB.Err != nil {
 		return E6Result{}, resB.Err
 	}
-	attr := s.probe.Attribution().Snapshot().Delta(beforeB)
-	crit := critDrain(s.probe)
-	exem := exemplarDrain(s.probe)
-	h1, p1 := s.counters()
-	wa := float64(p1-p0) / float64(h1-h0)
-	var ds DeviceState
-	if s.device != nil {
-		var err error
-		if ds, err = s.device(); err != nil {
-			return E6Result{}, err
-		}
+	f, err := w.close()
+	if err != nil {
+		return E6Result{}, err
 	}
+	h1, p1 := s.counters()
 	return E6Result{
-		Attr:         attr,
-		Crit:         crit,
-		CritOpts:     s.critOpts,
-		Exem:         exem,
-		ExemNames:    exemplarNames(s.probe),
-		Device:       ds,
 		Name:         s.name,
 		WritePagesPS: resA.WriteScale,
-		WA:           wa,
+		WA:           float64(p1-p0) / float64(h1-h0),
 		ReadMean:     resB.ReadLat.Mean,
 		ReadP50:      resB.ReadLat.P50,
 		ReadP90:      resB.ReadLat.P90,
@@ -156,96 +119,89 @@ func e6Measure(s e6Stack, cfg Config) (E6Result, error) {
 		ReadP999:     resB.ReadLat.P999,
 		WriteP99:     resB.WriteLat.P99,
 		WriteMax:     resB.WriteLat.Max,
+		forensics:    f,
 	}, nil
 }
 
-// E6Conventional is the baseline: a skewed block workload on a conventional
-// SSD whose opaque FTL does foreground GC.
-func E6Conventional(cfg Config) (E6Result, error) {
-	dev, err := ftl.NewDefault(e6Geometry(), scaledLatencies(cfg, flash.LatenciesFor(flash.TLC), false), 0.11)
+// e6Conventional builds E6's conventional device from fc (E6Conventional
+// and A5's device-incremental variant differ only in the controller) on
+// probe, prefills it, and ages it under the skewed workload.
+func e6Conventional(cfg Config, probe *telemetry.Probe, name string, fc ftl.Config) (E6Result, error) {
+	s, dev, err := newConvStack(cfg, probe, name, critpath.PredictOpts{}, fc)
 	if err != nil {
 		return E6Result{}, err
 	}
-	probe := attrProbe(cfg)
-	dev.SetProbe(probe)
-	exemplarArm(cfg, probe, "conventional (opaque device GC)", critpath.PredictOpts{},
-		convDevSnap(dev, e6Geometry()))
 	var at sim.Time
-	for lpn := int64(0); lpn < dev.CapacityPages(); lpn++ {
+	for lpn := int64(0); lpn < s.capacity; lpn++ {
 		if at, err = dev.WritePage(at, lpn, nil); err != nil {
 			return E6Result{}, err
 		}
 	}
 	src := workload.NewSource(cfg.Seed)
-	hc := workload.NewHotCold(src, dev.CapacityPages(), 0.1, 0.9)
-	for i := int64(0); i < dev.CapacityPages(); i++ { // age to steady state
+	hc := workload.NewHotCold(src, s.capacity, 0.1, 0.9)
+	for i := int64(0); i < s.capacity; i++ { // age to steady state
 		if at, err = dev.WritePage(at, hc.Next(), nil); err != nil {
 			return E6Result{}, err
 		}
 	}
-	rKeys := workload.NewUniform(src, dev.CapacityPages())
+	rKeys := workload.NewUniform(src, s.capacity)
 	return e6Measure(e6Stack{
-		name:  "conventional (opaque device GC)",
+		stack: s,
 		write: func(t sim.Time) (sim.Time, error) { return dev.WritePage(t, hc.Next(), nil) },
 		read: func(t sim.Time) (sim.Time, error) {
 			done, _, err := dev.ReadPage(t, rKeys.Next())
 			return done, err
 		},
-		counters: func() (uint64, uint64) {
-			c := dev.Counters()
-			return c.HostWritePages, c.FlashProgramPages
-		},
-		at:    at,
-		src:   src,
-		probe: probe,
-		device: func() (DeviceState, error) {
-			return DeviceState{Name: "conventional (opaque device GC)",
-				Wear: dev.Flash().Wear()}, nil
-		},
+		at:  at,
+		src: src,
 	}, cfg)
 }
 
-// e6ZonedCritOpts is the replay model for the host-FTL-on-ZNS stacks:
-// every erase is a zone reset, so zone_reset counterfactuals reach
-// erase-bound waits.
-var e6ZonedCritOpts = critpath.PredictOpts{ErasesAreResets: true}
+// E6Conventional is the baseline: a skewed block workload on a conventional
+// SSD whose opaque FTL does foreground GC.
+func E6Conventional(cfg Config) (E6Result, error) {
+	return e6Conventional(cfg, attrProbe(cfg), "conventional (opaque device GC)", e6ConvConfig(cfg))
+}
+
+// e6ConvConfig is the conventional device E6, E14 and A5 share: the E6
+// geometry at 11% OP with the run's scenario-scaled latencies.
+func e6ConvConfig(cfg Config) ftl.Config { return convConfig(cfg, e6Geometry(), 0.11) }
+
+// e6HostStack builds the host-FTL-on-ZNS stack E6 and E14 share. Narrow
+// zones (one erasure block each) give the host the same reclamation
+// granularity the conventional FTL enjoys; four open zones per stream
+// restore write parallelism across LUNs. OPFraction 0.20 matches the
+// conventional baseline's *effective* spare (its 11% OP plus its fixed
+// reserve floor and frontier headroom).
+func e6HostStack(cfg Config, opts critpath.PredictOpts) (stack, *hostftl.FTL, error) {
+	scaleWP, wpScale := wpSerialScale(cfg)
+	return newHostStack(cfg, "host FTL on ZNS (paced GC + streams)", opts,
+		zns.Config{Geom: e6Geometry(),
+			Lat:        scaledLatencies(cfg, flash.LatenciesFor(flash.TLC), true),
+			ZoneBlocks: 1, ScaleWPSerial: scaleWP, WPSerialScale: wpScale},
+		hostftl.Config{
+			OPFraction:     0.20,
+			Streams:        2,
+			ZonesPerStream: 4,
+			UseSimpleCopy:  true,
+			GCMode:         hostftl.GCIncremental,
+			GCChunkPages:   8,
+		})
+}
 
 // E6HostFTL is the SALSA-style configuration: a host log-structured
 // translation layer over ZNS with incremental reclamation spread across
 // writes, simple-copy relocation, and hot/cold stream separation from
-// application knowledge the device never had (§4.1).
+// application knowledge the device never had (§4.1). Every erase is a zone
+// reset, so zone_reset counterfactuals reach erase-bound waits.
 func E6HostFTL(cfg Config) (E6Result, error) {
-	// Narrow zones (one erasure block each) give the host the same
-	// reclamation granularity the conventional FTL enjoys; four open zones
-	// per stream restore write parallelism across LUNs. OPFraction 0.20
-	// matches the conventional baseline's *effective* spare (its 11% OP
-	// plus its fixed reserve floor and frontier headroom).
-	scaleWP, wpScale := wpSerialScale(cfg)
-	dev, err := zns.New(zns.Config{Geom: e6Geometry(),
-		Lat:        scaledLatencies(cfg, flash.LatenciesFor(flash.TLC), true),
-		ZoneBlocks: 1, ScaleWPSerial: scaleWP, WPSerialScale: wpScale})
+	s, f, err := e6HostStack(cfg, critpath.PredictOpts{ErasesAreResets: true})
 	if err != nil {
 		return E6Result{}, err
 	}
-	f, err := hostftl.New(dev, hostftl.Config{
-		OPFraction:     0.20,
-		Streams:        2,
-		ZonesPerStream: 4,
-		UseSimpleCopy:  true,
-		GCMode:         hostftl.GCIncremental,
-		GCChunkPages:   8,
-	})
-	if err != nil {
-		return E6Result{}, err
-	}
-	probe := attrProbe(cfg)
-	f.SetProbe(probe)
-	exemplarArm(cfg, probe, "host FTL on ZNS (paced GC + streams)", e6ZonedCritOpts,
-		znsDevSnap(dev, e6Geometry(), hostReclaim(f)))
-	aud := dev.AttachAuditor()
 	var at sim.Time
 	src := workload.NewSource(cfg.Seed)
-	hc := workload.NewHotCold(src, f.CapacityPages(), 0.1, 0.9)
+	hc := workload.NewHotCold(src, s.capacity, 0.1, 0.9)
 	writeOne := func(t sim.Time) (sim.Time, error) {
 		k := hc.Next()
 		stream := 1
@@ -254,19 +210,19 @@ func E6HostFTL(cfg Config) (E6Result, error) {
 		}
 		return f.WriteStream(t, k, stream, nil)
 	}
-	for lpn := int64(0); lpn < f.CapacityPages(); lpn++ {
+	for lpn := int64(0); lpn < s.capacity; lpn++ {
 		if at, err = f.Write(at, lpn, nil); err != nil {
 			return E6Result{}, err
 		}
 	}
-	for i := int64(0); i < f.CapacityPages(); i++ { // age to steady state
+	for i := int64(0); i < s.capacity; i++ { // age to steady state
 		if at, err = writeOne(at); err != nil {
 			return E6Result{}, err
 		}
 	}
-	rKeys := workload.NewUniform(src, f.CapacityPages())
+	rKeys := workload.NewUniform(src, s.capacity)
 	return e6Measure(e6Stack{
-		name:  "host FTL on ZNS (paced GC + streams)",
+		stack: s,
 		write: writeOne,
 		read: func(t sim.Time) (sim.Time, error) {
 			done, _, err := f.Read(t, rKeys.Next())
@@ -278,19 +234,8 @@ func E6HostFTL(cfg Config) (E6Result, error) {
 			f.MaintenanceStep(t, 2, 12)
 			return t, nil
 		},
-		counters: func() (uint64, uint64) {
-			return f.HostWrites(), f.Counters().FlashProgramPages
-		},
-		at:       at,
-		src:      src,
-		probe:    probe,
-		critOpts: e6ZonedCritOpts,
-		device: func() (DeviceState, error) {
-			if err := aud.Check(); err != nil {
-				return DeviceState{}, err
-			}
-			return deviceState("host FTL on ZNS (paced GC + streams)", dev, aud), nil
-		},
+		at:  at,
+		src: src,
 	}, cfg)
 }
 
@@ -311,23 +256,16 @@ func runE6(cfg Config) (Report, error) {
 			fmt.Sprintf("%.0f", e.ReadMean.Micros()),
 			fmt.Sprintf("%.0f", e.ReadP99.Micros()),
 			fmt.Sprintf("%.0f", e.ReadP999.Micros()))
-		r.AddBreakdown(e.Name, e.Attr)
-		r.AddCrit(cfg, e.Name, e.Crit, e.CritOpts, e.Attr)
-		r.AddExemplars(cfg, e.Name, e.Exem, e.CritOpts, e.ExemNames)
-		r.AddDeviceState(e.Device)
-		r.Bench = append(r.Bench, BenchEntry{
+		r.addForensics(cfg, e.Name, e.forensics, BenchEntry{
 			Experiment: "E6", Name: e.Name,
-			WritePPS:    e.WritePagesPS,
-			WriteAmp:    e.WA,
-			ReadMeanUs:  e.ReadMean.Micros(),
-			ReadP50Us:   e.ReadP50.Micros(),
-			ReadP90Us:   e.ReadP90.Micros(),
-			ReadP99Us:   e.ReadP99.Micros(),
-			ReadP999Us:  e.ReadP999.Micros(),
-			WriteP99Us:  e.WriteP99.Micros(),
-			Attribution: e.Attr.Dump(),
-			CritPath:    critBench(e.Crit, e.CritOpts),
-			Exemplars:   e.Exem.Bench(),
+			WritePPS:   e.WritePagesPS,
+			WriteAmp:   e.WA,
+			ReadMeanUs: e.ReadMean.Micros(),
+			ReadP50Us:  e.ReadP50.Micros(),
+			ReadP90Us:  e.ReadP90.Micros(),
+			ReadP99Us:  e.ReadP99.Micros(),
+			ReadP999Us: e.ReadP999.Micros(),
+			WriteP99Us: e.WriteP99.Micros(),
 		})
 	}
 	r.AddNote("tail ratio (p999 conv/host): %.1fx; throughput gain: %.0f%%",

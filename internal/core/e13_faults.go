@@ -9,6 +9,7 @@ import (
 	"blockhead/internal/ftl"
 	"blockhead/internal/hostftl"
 	"blockhead/internal/sim"
+	"blockhead/internal/telemetry/critpath"
 	"blockhead/internal/workload"
 	"blockhead/internal/zns"
 )
@@ -37,19 +38,16 @@ func e13Geometry() flash.Geometry {
 // the wear-coupled failure terms of the profiles actually engage.
 const e13Endurance = 150
 
-// e13Stack abstracts the two FTL stacks for the shared campaign drive:
-// fill, churn with live integrity checks, power loss mid-churn, recovery,
-// full differential verification, resumed churn, final verification.
+// e13Stack is one FTL stack for the shared campaign drive: fill, churn
+// with live integrity checks, power loss mid-churn, recovery, full
+// differential verification, resumed churn, final verification.
 type e13Stack struct {
-	name     string
-	capacity int64
+	stack
 	inj      *fault.Injector
 	write    func(at sim.Time, lpn int64) (sim.Time, error)
 	readMeta func(at sim.Time, lpn int64) (sim.Time, int64, uint64, error)
 	recover  func(at sim.Time) (fault.RecoveryReport, error)
 	nextSeq  func() uint64
-	programs func() uint64
-	device   func() (DeviceState, error)
 }
 
 // e13Result is one stack-under-one-profile campaign outcome.
@@ -163,7 +161,8 @@ func e13Campaign(s e13Stack, cfg Config, profileName string) (e13Result, error) 
 	res.lostReads = oc.LostReads()
 	res.details = oc.Details()
 	if res.hostWrites > 0 {
-		res.wa = float64(s.programs()) / float64(res.hostWrites)
+		_, programs := s.counters()
+		res.wa = float64(programs) / float64(res.hostWrites)
 	}
 	if res.device, err = s.device(); err != nil {
 		return res, err
@@ -173,91 +172,68 @@ func e13Campaign(s e13Stack, cfg Config, profileName string) (e13Result, error) 
 
 // e13Conventional builds the page-mapped baseline with recovery armed.
 func e13Conventional(cfg Config, prof fault.Profile) (e13Stack, error) {
-	dev, err := ftl.New(ftl.Config{
-		Geom:              e13Geometry(),
-		Lat:               flash.LatenciesFor(flash.TLC),
-		OPFraction:        0.11,
-		HotColdSeparation: true,
-		TrimSupported:     true,
-		Endurance:         e13Endurance,
-		Recovery:          true,
-	})
+	s, dev, err := newConvStack(cfg, attrProbe(cfg), "conventional (page-mapped FTL)", critpath.PredictOpts{},
+		ftl.Config{
+			Geom:              e13Geometry(),
+			Lat:               flash.LatenciesFor(flash.TLC),
+			OPFraction:        0.11,
+			HotColdSeparation: true,
+			TrimSupported:     true,
+			Endurance:         e13Endurance,
+			Recovery:          true,
+		})
 	if err != nil {
 		return e13Stack{}, err
 	}
-	probe := attrProbe(cfg)
-	dev.SetProbe(probe)
 	inj := fault.New(prof, cfg.Seed*31+1)
-	inj.SetProbe(probe)
+	inj.SetProbe(s.probe)
 	dev.SetInjector(inj)
-	name := "conventional (page-mapped FTL)"
 	return e13Stack{
-		name:     name,
-		capacity: dev.CapacityPages(),
-		inj:      inj,
+		stack: s,
+		inj:   inj,
 		write: func(at sim.Time, lpn int64) (sim.Time, error) {
 			return dev.WritePage(at, lpn, nil)
 		},
 		readMeta: dev.ReadMeta,
-		recover: func(at sim.Time) (fault.RecoveryReport, error) {
-			return dev.Recover(at)
-		},
+		recover:  dev.Recover,
 		nextSeq:  dev.NextSeq,
-		programs: func() uint64 { return dev.Counters().FlashProgramPages },
-		device: func() (DeviceState, error) {
-			return DeviceState{Name: name, Wear: dev.Flash().Wear()}, nil
-		},
 	}, nil
 }
 
 // e13Host builds the ZNS + host-FTL stack with recovery armed and the zone
 // state machine audited throughout (including across the crash).
 func e13Host(cfg Config, prof fault.Profile) (e13Stack, error) {
-	zdev, err := zns.New(zns.Config{
-		Geom:       e13Geometry(),
-		Lat:        flash.LatenciesFor(flash.TLC),
-		ZoneBlocks: 4,
-		Endurance:  e13Endurance,
-		Recovery:   true,
-	})
+	s, f, err := newHostStack(cfg, "host FTL on ZNS", critpath.PredictOpts{ErasesAreResets: true},
+		zns.Config{
+			Geom:       e13Geometry(),
+			Lat:        flash.LatenciesFor(flash.TLC),
+			ZoneBlocks: 4,
+			Endurance:  e13Endurance,
+			Recovery:   true,
+		},
+		hostftl.Config{
+			OPFraction:     0.20,
+			Streams:        2,
+			ZonesPerStream: 2,
+			UseSimpleCopy:  true,
+			GCMode:         hostftl.GCIncremental,
+			GCChunkPages:   8,
+		})
 	if err != nil {
 		return e13Stack{}, err
 	}
-	f, err := hostftl.New(zdev, hostftl.Config{
-		OPFraction:     0.20,
-		Streams:        2,
-		ZonesPerStream: 2,
-		UseSimpleCopy:  true,
-		GCMode:         hostftl.GCIncremental,
-		GCChunkPages:   8,
-	})
-	if err != nil {
-		return e13Stack{}, err
-	}
-	probe := attrProbe(cfg)
-	f.SetProbe(probe)
 	inj := fault.New(prof, cfg.Seed*31+2)
-	inj.SetProbe(probe)
-	zdev.SetInjector(inj)
-	aud := zdev.AttachAuditor()
-	name := "host FTL on ZNS"
+	inj.SetProbe(s.probe)
+	f.Device().SetInjector(inj)
 	return e13Stack{
-		name:     name,
-		capacity: f.CapacityPages(),
-		inj:      inj,
+		stack: s,
+		inj:   inj,
 		write: func(at sim.Time, lpn int64) (sim.Time, error) {
 			return f.Write(at, lpn, nil)
 		},
 		readMeta: f.ReadMeta,
 		recover:  f.Recover,
 		nextSeq:  f.NextSeq,
-		programs: func() uint64 { return f.Counters().FlashProgramPages },
-		device: func() (DeviceState, error) {
-			if err := aud.Check(); err != nil {
-				return DeviceState{}, err
-			}
-			return deviceState(name, zdev, aud), nil
-		},
 	}, nil
 }
 

@@ -3,15 +3,10 @@ package core
 import (
 	"fmt"
 
-	"blockhead/internal/flash"
-	"blockhead/internal/ftl"
-	"blockhead/internal/hostftl"
 	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
 	"blockhead/internal/telemetry/critpath"
-	"blockhead/internal/telemetry/exemplar"
 	"blockhead/internal/workload"
-	"blockhead/internal/zns"
 )
 
 func init() {
@@ -54,42 +49,25 @@ func e14SLOs(eng *telemetry.SLOEngine) {
 		Pct: 90, LatencyMax: 10 * sim.Millisecond, Budget: 0.25})
 }
 
-// E14Result is one stack's measurement.
+// E14Result is one stack's measurement. The embedded forensics cover the
+// measured window; their critical-path replay model enables per-tenant
+// what-if predictions (who gains if zone resets were free?).
 type E14Result struct {
 	Name    string
 	Streams []StreamResult
-	Attr    telemetry.AttrSnapshot
 	Tenants telemetry.TenantSnapshot
 	SLO     []telemetry.SLOResult
-	// Crit is the critical-path recording over the measured window;
-	// CritOpts selects the stack's replay model and enables per-tenant
-	// what-if predictions (who gains if zone resets were free?).
-	Crit     critpath.Snapshot
-	CritOpts critpath.PredictOpts
-	// Exem is the drained exemplar reservoir over the measured window (the
-	// slowest IOs per tenant with full forensics); ExemNames are the tenant
-	// labels at drain time.
-	Exem      exemplar.Snapshot
-	ExemNames [telemetry.MaxTenants]string
-	Device    DeviceState
+	forensics
 }
 
-// rebaseSeqs shifts the result's exemplar sequence numbers from its
-// part's private numbering to the experiment's cross-stack numbering.
-func (e *E14Result) rebaseSeqs(delta uint64) { e.Exem.Rebase(delta) }
-
-// e14Stack abstracts the two configurations for the shared drive.
+// e14Stack is one prepared stack for the shared drive.
 type e14Stack struct {
-	name     string
+	stack
 	write    func(at sim.Time, lpn int64) (sim.Time, error)
 	read     func(at sim.Time, lpn int64) (sim.Time, error)
 	maintain OpFunc
-	capacity int64
 	at       sim.Time
 	src      *workload.Source
-	probe    *telemetry.Probe
-	critOpts critpath.PredictOpts
-	device   func() (DeviceState, error)
 }
 
 // e14TenantOf maps an LBA to its owning tenant: thirds in tenant order,
@@ -131,10 +109,8 @@ func e14Measure(s e14Stack, cfg Config) (E14Result, error) {
 	anaKeys := workload.NewUniform(s.src, third)
 	churnKeys := workload.NewHotCold(s.src, third, 0.1, 0.9)
 
-	beforeAttr := sink.Snapshot()
+	w := s.open()
 	beforeTen := sink.TenantSnapshot()
-	critDrain(s.probe)     // discard prefill/aging paths
-	exemplarDrain(s.probe) // likewise for exemplars
 	res := RunMixed(MixedCfg{
 		Streams: []StreamCfg{
 			{Name: "web", Tenant: e14Web, Kind: telemetry.OpRead, Rate: e14WebRate,
@@ -158,21 +134,14 @@ func e14Measure(s e14Stack, cfg Config) (E14Result, error) {
 		return E14Result{}, res.Err
 	}
 	out := E14Result{
-		Name:      s.name,
-		Streams:   res.Streams,
-		Attr:      sink.Snapshot().Delta(beforeAttr),
-		Tenants:   sink.TenantSnapshot().Delta(beforeTen),
-		SLO:       eng.Evaluate(),
-		Crit:      critDrain(s.probe),
-		CritOpts:  s.critOpts,
-		Exem:      exemplarDrain(s.probe),
-		ExemNames: exemplarNames(s.probe),
+		Name:    s.name,
+		Streams: res.Streams,
+		Tenants: sink.TenantSnapshot().Delta(beforeTen),
+		SLO:     eng.Evaluate(),
 	}
-	if s.device != nil {
-		var err error
-		if out.Device, err = s.device(); err != nil {
-			return E14Result{}, err
-		}
+	var err error
+	if out.forensics, err = w.close(); err != nil {
+		return E14Result{}, err
 	}
 	return out, nil
 }
@@ -182,18 +151,15 @@ func e14Measure(s e14Stack, cfg Config) (E14Result, error) {
 // is unlucky enough to be running — the blame matrix charges every stalled
 // tick to a culprit tenant, exactly.
 func E14Conventional(cfg Config) (E14Result, error) {
-	dev, err := ftl.NewDefault(e6Geometry(), scaledLatencies(cfg, flash.LatenciesFor(flash.TLC), false), 0.11)
+	s, dev, err := newConvStack(cfg, attrProbe(cfg), "conventional (opaque device GC)",
+		critpath.PredictOpts{PerTenant: true}, e6ConvConfig(cfg))
 	if err != nil {
 		return E14Result{}, err
 	}
-	probe := attrProbe(cfg)
-	dev.SetProbe(probe)
-	exemplarArm(cfg, probe, "conventional (opaque device GC)",
-		critpath.PredictOpts{PerTenant: true}, convDevSnap(dev, e6Geometry()))
-	sink := probe.Attribution()
+	sink := s.probe.Attribution()
 	src := workload.NewSource(cfg.Seed)
 	var at sim.Time
-	third := dev.CapacityPages() / 3
+	third := s.capacity / 3
 	// Prefill and age the whole device under each page's owning tenant: the
 	// conventional FTL cannot tell tenants apart, so the aged flash blocks
 	// interleave everyone's pages — exactly the state that makes one
@@ -206,19 +172,19 @@ func E14Conventional(cfg Config) (E14Result, error) {
 		sink.PopWorker()
 		return werr
 	}
-	for lpn := int64(0); lpn < dev.CapacityPages(); lpn++ {
+	for lpn := int64(0); lpn < s.capacity; lpn++ {
 		if err := write(lpn); err != nil {
 			return E14Result{}, err
 		}
 	}
-	hcAll := workload.NewHotCold(src, dev.CapacityPages(), 0.1, 0.9)
-	for i := int64(0); i < dev.CapacityPages(); i++ { // age to steady state
+	hcAll := workload.NewHotCold(src, s.capacity, 0.1, 0.9)
+	for i := int64(0); i < s.capacity; i++ { // age to steady state
 		if err := write(hcAll.Next()); err != nil {
 			return E14Result{}, err
 		}
 	}
 	return e14Measure(e14Stack{
-		name: "conventional (opaque device GC)",
+		stack: s,
 		write: func(t sim.Time, lpn int64) (sim.Time, error) {
 			return dev.WritePage(t, lpn, nil)
 		},
@@ -226,15 +192,8 @@ func E14Conventional(cfg Config) (E14Result, error) {
 			done, _, err := dev.ReadPage(t, lpn)
 			return done, err
 		},
-		capacity: dev.CapacityPages(),
-		at:       at,
-		src:      src,
-		probe:    probe,
-		critOpts: critpath.PredictOpts{PerTenant: true},
-		device: func() (DeviceState, error) {
-			return DeviceState{Name: "conventional (opaque device GC)",
-				Wear: dev.Flash().Wear()}, nil
-		},
+		at:  at,
+		src: src,
 	}, cfg)
 }
 
@@ -242,38 +201,18 @@ func E14Conventional(cfg Config) (E14Result, error) {
 // incremental reclamation: the host schedules erasures away from the
 // readers (§4.1), so every tenant holds its SLO.
 func E14HostFTL(cfg Config) (E14Result, error) {
-	scaleWP, wpScale := wpSerialScale(cfg)
-	dev, err := zns.New(zns.Config{Geom: e6Geometry(),
-		Lat:        scaledLatencies(cfg, flash.LatenciesFor(flash.TLC), true),
-		ZoneBlocks: 1, ScaleWPSerial: scaleWP, WPSerialScale: wpScale})
+	s, f, err := e6HostStack(cfg, critpath.PredictOpts{ErasesAreResets: true, PerTenant: true})
 	if err != nil {
 		return E14Result{}, err
 	}
-	f, err := hostftl.New(dev, hostftl.Config{
-		OPFraction:     0.20,
-		Streams:        2,
-		ZonesPerStream: 4,
-		UseSimpleCopy:  true,
-		GCMode:         hostftl.GCIncremental,
-		GCChunkPages:   8,
-	})
-	if err != nil {
-		return E14Result{}, err
-	}
-	probe := attrProbe(cfg)
-	f.SetProbe(probe)
-	exemplarArm(cfg, probe, "host FTL on ZNS (paced GC + streams)",
-		critpath.PredictOpts{ErasesAreResets: true, PerTenant: true},
-		znsDevSnap(dev, e6Geometry(), hostReclaim(f)))
-	sink := probe.Attribution()
-	aud := dev.AttachAuditor()
+	sink := s.probe.Attribution()
 	src := workload.NewSource(cfg.Seed)
 	var at sim.Time
-	third := f.CapacityPages() / 3
+	third := s.capacity / 3
 	// Same owner-tagged prefill and full-device hot/cold aging as the
 	// conventional stack — but the host routes hot and cold writes to
 	// separate streams, application knowledge the opaque device never had.
-	hcAll := workload.NewHotCold(src, f.CapacityPages(), 0.1, 0.9)
+	hcAll := workload.NewHotCold(src, s.capacity, 0.1, 0.9)
 	streamOf := func(lpn int64) int {
 		if hcAll.IsHot(lpn) {
 			return 0
@@ -287,18 +226,18 @@ func E14HostFTL(cfg Config) (E14Result, error) {
 		sink.PopWorker()
 		return werr
 	}
-	for lpn := int64(0); lpn < f.CapacityPages(); lpn++ {
+	for lpn := int64(0); lpn < s.capacity; lpn++ {
 		if err := write(lpn); err != nil {
 			return E14Result{}, err
 		}
 	}
-	for i := int64(0); i < f.CapacityPages(); i++ { // age to steady state
+	for i := int64(0); i < s.capacity; i++ { // age to steady state
 		if err := write(hcAll.Next()); err != nil {
 			return E14Result{}, err
 		}
 	}
 	return e14Measure(e14Stack{
-		name: "host FTL on ZNS (paced GC + streams)",
+		stack: s,
 		write: func(t sim.Time, lpn int64) (sim.Time, error) {
 			return f.WriteStream(t, lpn, streamOf(lpn), nil)
 		},
@@ -310,17 +249,8 @@ func E14HostFTL(cfg Config) (E14Result, error) {
 			f.MaintenanceStep(t, 2, 12)
 			return t, nil
 		},
-		capacity: f.CapacityPages(),
-		at:       at,
-		src:      src,
-		probe:    probe,
-		critOpts: critpath.PredictOpts{ErasesAreResets: true, PerTenant: true},
-		device: func() (DeviceState, error) {
-			if err := aud.Check(); err != nil {
-				return DeviceState{}, err
-			}
-			return deviceState("host FTL on ZNS (paced GC + streams)", dev, aud), nil
-		},
+		at:  at,
+		src: src,
 	}, cfg)
 }
 
@@ -355,29 +285,18 @@ func runE14(cfg Config) (Report, error) {
 				fmt.Sprintf("%.0f", st.Lat.P99.Micros()),
 				verdictOf(st.Tenant))
 		}
-		r.AddBreakdown(e.Name, e.Attr)
-		r.AddCrit(cfg, e.Name, e.Crit, e.CritOpts, e.Attr)
-		r.AddExemplars(cfg, e.Name, e.Exem, e.CritOpts, e.ExemNames)
 		r.AddTenants(e.Name, e.Tenants, e.SLO)
-		r.AddDeviceState(e.Device)
-		for _, st := range e.Streams {
-			if st.Tenant != e14Web {
-				continue
-			}
-			r.Bench = append(r.Bench, BenchEntry{
-				Experiment: "E14", Name: e.Name + "/web",
-				WritePPS:    churnRate(e.Streams),
-				ReadMeanUs:  st.Lat.Mean.Micros(),
-				ReadP50Us:   st.Lat.P50.Micros(),
-				ReadP90Us:   st.Lat.P90.Micros(),
-				ReadP99Us:   st.Lat.P99.Micros(),
-				ReadP999Us:  st.Lat.P999.Micros(),
-				WriteP99Us:  churnP99(e.Streams),
-				Attribution: e.Attr.Dump(),
-				CritPath:    critBench(e.Crit, e.CritOpts),
-				Exemplars:   e.Exem.Bench(),
-			})
-		}
+		web, churn := e14Stream(e.Streams, e14Web), e14Stream(e.Streams, e14Churn)
+		r.addForensics(cfg, e.Name, e.forensics, BenchEntry{
+			Experiment: "E14", Name: e.Name + "/web",
+			WritePPS:   churn.Rate,
+			ReadMeanUs: web.Lat.Mean.Micros(),
+			ReadP50Us:  web.Lat.P50.Micros(),
+			ReadP90Us:  web.Lat.P90.Micros(),
+			ReadP99Us:  web.Lat.P99.Micros(),
+			ReadP999Us: web.Lat.P999.Micros(),
+			WriteP99Us: churn.Lat.P99.Micros(),
+		})
 	}
 	okCount := func(rs []telemetry.SLOResult) int {
 		n := 0
@@ -393,21 +312,12 @@ func runE14(cfg Config) (Report, error) {
 	return r, nil
 }
 
-// churnRate and churnP99 pull the churn stream's stats for the bench entry.
-func churnRate(streams []StreamResult) float64 {
+// e14Stream pulls one tenant's stream stats for the bench entry.
+func e14Stream(streams []StreamResult, t telemetry.TenantID) StreamResult {
 	for _, st := range streams {
-		if st.Tenant == e14Churn {
-			return st.Rate
+		if st.Tenant == t {
+			return st
 		}
 	}
-	return 0
-}
-
-func churnP99(streams []StreamResult) float64 {
-	for _, st := range streams {
-		if st.Tenant == e14Churn {
-			return st.Lat.P99.Micros()
-		}
-	}
-	return 0
+	return StreamResult{}
 }

@@ -48,25 +48,6 @@ func exemplarArm(cfg Config, probe *telemetry.Probe, stack string, opts critpath
 	exemplar.FromSink(sink).SetSnap(snap)
 }
 
-// exemplarDrain captures and resets the exemplar reservoir attached to the
-// probe's sink. Like critDrain: once before a measured window (discarding
-// prefill exemplars) and once after (the measurement). Empty in explain
-// mode (the narrator replaces the reservoir), which AddExemplars skips.
-func exemplarDrain(probe *telemetry.Probe) exemplar.Snapshot {
-	return exemplar.FromSink(probe.Attribution()).Drain()
-}
-
-// exemplarNames captures the sink's tenant labels for a section, so the
-// rendered rows keep their names after the sink moves on.
-func exemplarNames(probe *telemetry.Probe) [telemetry.MaxTenants]string {
-	var out [telemetry.MaxTenants]string
-	sink := probe.Attribution()
-	for t := 0; t < telemetry.MaxTenants; t++ {
-		out[t] = sink.TenantName(telemetry.TenantID(t))
-	}
-	return out
-}
-
 // convDevSnap is a conventional (device-FTL) stack's device-snapshot
 // source: channel/LUN occupancy from the flash layer, GC progress and the
 // free-block pool from the FTL.

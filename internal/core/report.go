@@ -69,9 +69,6 @@ type Config struct {
 	session *session
 }
 
-// DefaultConfig is the standard full-size run.
-func DefaultConfig() Config { return Config{Seed: 42} }
-
 // attrProbe returns a probe carrying the session's shared attribution sink,
 // heatmap-source registry, flight recorder, and live publisher when
 // cfg.Probe is set, or private instances otherwise. Experiments that drive

@@ -315,9 +315,6 @@ func (d *Device) SetProbe(p *telemetry.Probe) {
 // LUNBusy reports the accumulated busy time of a LUN (cell operations).
 func (d *Device) LUNBusy(lun int) sim.Time { return d.luns[lun].busy }
 
-// ChannelBusy reports the accumulated busy time of a channel bus.
-func (d *Device) ChannelBusy(ch int) sim.Time { return d.chans[ch].busy }
-
 // Counts returns a copy of the physical operation counters.
 func (d *Device) Counts() OpCounts { return d.counts }
 

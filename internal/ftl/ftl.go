@@ -224,15 +224,13 @@ type Device struct {
 	// stall; exported via Stats for the scheduling experiments.
 	lastGCStall sim.Time
 
-	// Tenant blame bookkeeping (allocated by SetProbe when attribution is
-	// armed, nil otherwise): pageOwner stamps each physical page with the
-	// tenant that wrote it; deadBy counts, per block, how many of its dead
-	// pages each tenant killed by overwrite/trim — the evidence GC uses to
-	// name a victim block's dominant polluter. lastGCCulprit is the tenant
-	// blamed for the most recent GC stall (SelfTenant when GC did not run
-	// or no polluter stood out).
-	pageOwner     []telemetry.TenantID
-	deadBy        [][telemetry.MaxTenants]int32
+	// Tenant blame bookkeeping: deadBy (allocated by SetProbe when
+	// attribution is armed, nil otherwise) counts, per block, how many of
+	// its dead pages each tenant killed by overwrite/trim — the evidence GC
+	// uses to name a victim block's dominant polluter. lastGCCulprit is the
+	// tenant blamed for the most recent GC stall (SelfTenant when GC did
+	// not run or no polluter stood out).
+	deadBy        telemetry.TenantTally
 	lastGCCulprit telemetry.TenantID
 	// gcTopAdv is the largest single-victim time advance within the
 	// current write's reclamation (maybeGC + any forceGC retry); the
@@ -372,9 +370,8 @@ func (d *Device) SetProbe(p *telemetry.Probe) {
 	d.reg = reg
 	d.tr = p.Tracer()
 	d.attr = p.Attribution()
-	if d.attr != nil && d.pageOwner == nil {
-		d.pageOwner = make([]telemetry.TenantID, d.geom.TotalPages())
-		d.deadBy = make([][telemetry.MaxTenants]int32, d.geom.TotalBlocks())
+	if d.attr != nil && d.deadBy == nil {
+		d.deadBy = telemetry.NewTenantTally(d.geom.TotalBlocks())
 		d.lastGCCulprit = telemetry.SelfTenant
 	}
 	d.mGCVictims = reg.Counter("ftl/gc/victims")
@@ -534,36 +531,9 @@ func (d *Device) invalidate(at sim.Time, ppn int64) {
 	d.valid[b]--
 	d.lastInval[b] = at
 	d.reindex(b)
-	if d.deadBy != nil {
-		// The page died by host overwrite or trim; the worker doing that is
-		// the polluter GC will later blame for cleaning this block.
-		d.deadBy[b][clampOwner(d.attr.Worker())]++
-	}
-}
-
-// clampOwner maps a worker tenant into the deadBy index space.
-func clampOwner(t telemetry.TenantID) telemetry.TenantID {
-	if t < 0 || t >= telemetry.MaxTenants {
-		return 0
-	}
-	return t
-}
-
-// dominantPolluter names the tenant that killed the most pages in victim —
-// the culprit a reclamation of that block blames. SelfTenant when nothing
-// died there (erasing an untouched or wholly-valid block) or blame
-// tracking is off. Ties break toward the lower tenant ID (deterministic).
-func (d *Device) dominantPolluter(victim int) telemetry.TenantID {
-	if d.deadBy == nil {
-		return telemetry.SelfTenant
-	}
-	best, bestN := telemetry.SelfTenant, int32(0)
-	for t := 0; t < telemetry.MaxTenants; t++ {
-		if n := d.deadBy[victim][t]; n > bestN {
-			best, bestN = telemetry.TenantID(t), n
-		}
-	}
-	return best
+	// The page died by host overwrite or trim; the worker doing that is the
+	// polluter GC will later blame for cleaning this block.
+	d.deadBy.Add(b, d.attr.Worker())
 }
 
 // WritePage writes one logical page on stream 0. data may be nil for
@@ -635,9 +605,6 @@ func (d *Device) WritePageStream(at sim.Time, lpn int64, stream int, data []byte
 	d.p2l[ppn] = lpn
 	d.valid[d.blockOf(ppn)]++
 	d.reindex(d.blockOf(ppn))
-	if d.pageOwner != nil {
-		d.pageOwner[ppn] = clampOwner(d.attr.Worker())
-	}
 
 	if d.data != nil && data != nil {
 		d.data[lpn] = data
@@ -730,9 +697,6 @@ func (d *Device) Utilization() float64 {
 
 // FreeBlocks reports the current free-block count.
 func (d *Device) FreeBlocks() int { return d.freeCount }
-
-// FreeSlots reports the number of programmable page slots device-wide.
-func (d *Device) FreeSlots() int64 { return d.freeSlots }
 
 // NextSeq reports the sequence number the next stamped write will carry —
 // the integrity oracle resyncs to it after recovery.

@@ -114,7 +114,7 @@ func (d *Device) incrementalGC(at sim.Time) sim.Time {
 		}
 		// The chunk's relocation (and eventual erase) occupies LUNs on the
 		// victim's dominant polluter's behalf.
-		d.attr.PushWorker(d.dominantPolluter(d.gcVictim))
+		d.attr.PushWorker(d.deadBy.Dominant(d.gcVictim))
 		moved, done := d.relocateChunk(at, d.gcVictim, budget)
 		// Chunk work proceeds concurrently; the write is not gated. The
 		// high-water mark of relocation completions is kept only for the
@@ -147,7 +147,7 @@ func (d *Device) incrementalGC(at sim.Time) sim.Time {
 				d.valid[victim] = 0
 			}
 			d.reindex(victim) // free, or retired: out of the index either way
-			d.clearDeadBy(victim)
+			d.deadBy.Clear(victim)
 			erased = true
 		}
 		d.attr.PopWorker()
@@ -156,14 +156,6 @@ func (d *Device) incrementalGC(at sim.Time) sim.Time {
 		}
 	}
 	return at
-}
-
-// clearDeadBy resets a block's per-tenant death counts once the block
-// leaves circulation (erased back to the free pool, or retired).
-func (d *Device) clearDeadBy(block int) {
-	if d.deadBy != nil {
-		d.deadBy[block] = [telemetry.MaxTenants]int32{}
-	}
 }
 
 // relocateChunk copies up to budget valid pages of victim starting at the
@@ -236,7 +228,7 @@ func (d *Device) forceGC(at sim.Time) sim.Time {
 // and records the culprit of the round's largest time advance for the
 // triggering write's gc_stall blame charge.
 func (d *Device) reclaimVictim(at sim.Time, victim int) (sim.Time, bool) {
-	c := d.dominantPolluter(victim)
+	c := d.deadBy.Dominant(victim)
 	d.attr.PushWorker(c)
 	d.holdVictim(victim)
 	done, ok := d.relocateAndErase(at, victim)
@@ -393,9 +385,6 @@ func (d *Device) movePage(ppn, lpn, dst int64) {
 	d.valid[src]--
 	d.reindex(to)
 	d.reindex(src)
-	if d.pageOwner != nil {
-		d.pageOwner[dst] = d.pageOwner[ppn]
-	}
 	d.counters.FlashReadPages++
 	d.counters.FlashProgramPages++
 	d.counters.GCCopyPages++
@@ -475,7 +464,7 @@ func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
 		// the only surviving version of the victim's live pages).
 		eraseAt = sim.Max(eraseAt, lastDone)
 	}
-	d.clearDeadBy(victim) // the block leaves circulation either way below
+	d.deadBy.Clear(victim) // the block leaves circulation either way below
 	eraseDone, err := d.chip.EraseBlock(eraseAt, victim)
 	if err != nil {
 		// ErrWornOut: the block is retired and its capacity is permanently

@@ -129,15 +129,14 @@ type FTL struct {
 	// reclamation work.
 	lastStall sim.Time
 
-	// Tenant blame bookkeeping (allocated by SetProbe when attribution is
-	// armed, nil otherwise): slotOwner stamps each device LBA with the
-	// tenant that wrote it; deadBy counts, per zone, how many of its dead
-	// pages each tenant killed by overwrite/trim — the evidence reclamation
-	// uses to name a victim zone's dominant polluter. lastCulprit is the
-	// tenant blamed for the most recent write's reclamation stall;
-	// gcTopAdv tracks the largest single-victim advance inside it.
-	slotOwner   []telemetry.TenantID
-	deadBy      [][telemetry.MaxTenants]int32
+	// Tenant blame bookkeeping: deadBy (allocated by SetProbe when
+	// attribution is armed, nil otherwise) counts, per zone, how many of
+	// its dead pages each tenant killed by overwrite/trim — the evidence
+	// reclamation uses to name a victim zone's dominant polluter.
+	// lastCulprit is the tenant blamed for the most recent write's
+	// reclamation stall; gcTopAdv tracks the largest single-victim advance
+	// inside it.
+	deadBy      telemetry.TenantTally
 	lastCulprit telemetry.TenantID
 	gcTopAdv    sim.Time
 
@@ -226,9 +225,8 @@ func (f *FTL) SetProbe(p *telemetry.Probe) {
 	f.reg = reg
 	f.tr = p.Tracer()
 	f.attr = p.Attribution()
-	if f.attr != nil && f.slotOwner == nil {
-		f.slotOwner = make([]telemetry.TenantID, len(f.p2l))
-		f.deadBy = make([][telemetry.MaxTenants]int32, f.dev.NumZones())
+	if f.attr != nil && f.deadBy == nil {
+		f.deadBy = telemetry.NewTenantTally(f.dev.NumZones())
 		f.lastCulprit = telemetry.SelfTenant
 	}
 	f.mRelocPages = reg.Counter("hostftl/reclaim/copy_pages")
@@ -390,44 +388,9 @@ func (f *FTL) invalidate(devLBA int64) {
 	z, _ := f.dev.ZoneOf(devLBA)
 	f.p2l[devLBA] = unmapped
 	f.valid[z]--
-	if f.deadBy != nil {
-		// The page died by host overwrite or trim; the worker doing that is
-		// the polluter reclamation will later blame for recycling this zone.
-		f.deadBy[z][clampOwner(f.attr.Worker())]++
-	}
-}
-
-// clampOwner maps a worker tenant into the deadBy index space.
-func clampOwner(t telemetry.TenantID) telemetry.TenantID {
-	if t < 0 || t >= telemetry.MaxTenants {
-		return 0
-	}
-	return t
-}
-
-// dominantPolluter names the tenant that killed the most pages in zone z —
-// the culprit a reclamation of that zone blames. SelfTenant when nothing
-// died there or blame tracking is off. Ties break toward the lower tenant
-// ID (deterministic).
-func (f *FTL) dominantPolluter(z int) telemetry.TenantID {
-	if f.deadBy == nil {
-		return telemetry.SelfTenant
-	}
-	best, bestN := telemetry.SelfTenant, int32(0)
-	for t := 0; t < telemetry.MaxTenants; t++ {
-		if n := f.deadBy[z][t]; n > bestN {
-			best, bestN = telemetry.TenantID(t), n
-		}
-	}
-	return best
-}
-
-// clearDeadBy resets a zone's per-tenant death counts once the zone is
-// recycled.
-func (f *FTL) clearDeadBy(z int) {
-	if f.deadBy != nil {
-		f.deadBy[z] = [telemetry.MaxTenants]int32{}
-	}
+	// The page died by host overwrite or trim; the worker doing that is the
+	// polluter reclamation will later blame for recycling this zone.
+	f.deadBy.Add(z, f.attr.Worker())
 }
 
 // Write writes one logical page on stream 0.
@@ -464,9 +427,6 @@ func (f *FTL) WriteStream(at sim.Time, lpn int64, stream int, data []byte) (sim.
 	f.p2l[lba] = lpn
 	z, _ := f.dev.ZoneOf(lba)
 	f.valid[z]++
-	if f.slotOwner != nil {
-		f.slotOwner[lba] = clampOwner(f.attr.Worker())
-	}
 	f.hostWrites++
 	f.lastStall = at - start
 	if f.lastStall > 0 {

@@ -108,7 +108,7 @@ func (f *FTL) reclaimInline(at sim.Time) sim.Time {
 // blame it — and records the culprit of the round's largest time advance
 // for the triggering write's gc_stall blame charge.
 func (f *FTL) reclaimVictim(at sim.Time, victim int, from int64) (sim.Time, bool) {
-	c := f.dominantPolluter(victim)
+	c := f.deadBy.Dominant(victim)
 	f.attr.PushWorker(c)
 	done, ok := f.finishVictim(at, victim, from)
 	f.attr.PopWorker()
@@ -162,11 +162,6 @@ func (f *FTL) isOpenForWriting(z int) bool {
 	return false
 }
 
-// relocateAll moves every valid page out of victim and resets it.
-func (f *FTL) relocateAll(at sim.Time, victim int) (sim.Time, bool) {
-	return f.finishVictim(at, victim, 0)
-}
-
 // finishVictim relocates the valid pages in [from, WP) of victim and resets
 // it, returning the reset completion time.
 func (f *FTL) finishVictim(at sim.Time, victim int, from int64) (sim.Time, bool) {
@@ -180,7 +175,7 @@ func (f *FTL) finishVictim(at sim.Time, victim int, from int64) (sim.Time, bool)
 		return done, false
 	}
 	f.valid[victim] = 0
-	f.clearDeadBy(victim)
+	f.deadBy.Clear(victim)
 	if f.dev.State(victim) == zns.Empty {
 		f.freeZones = append(f.freeZones, victim)
 	}
@@ -282,11 +277,6 @@ func (f *FTL) remap(src, dst int64) {
 	if lpn == unmapped {
 		return
 	}
-	if f.slotOwner != nil {
-		// A relocated page keeps its writer: moving data does not launder
-		// who polluted the zone it lands in next.
-		f.slotOwner[dst] = f.slotOwner[src]
-	}
 	f.mRelocPages.Inc()
 	sz, _ := f.dev.ZoneOf(src)
 	dz, _ := f.dev.ZoneOf(dst)
@@ -330,7 +320,7 @@ func (f *FTL) reclaimChunk(at sim.Time, budget, water int) {
 		}
 		// The chunk's relocation (and eventual reset) occupies LUNs on the
 		// victim's dominant polluter's behalf.
-		f.attr.PushWorker(f.dominantPolluter(f.gcVictim))
+		f.attr.PushWorker(f.deadBy.Dominant(f.gcVictim))
 		rDone, ok := f.relocateRange(at, f.gcVictim, f.gcCursor, end)
 		if !ok {
 			f.attr.PopWorker()
@@ -351,7 +341,7 @@ func (f *FTL) reclaimChunk(at sim.Time, budget, water int) {
 			}
 			if _, err := f.dev.Reset(resetAt, victim); err == nil {
 				f.valid[victim] = 0
-				f.clearDeadBy(victim)
+				f.deadBy.Clear(victim)
 				if f.dev.State(victim) == zns.Empty {
 					f.freeZones = append(f.freeZones, victim)
 				}

@@ -166,7 +166,6 @@ type Store struct {
 
 	hostPages uint64
 	gcResets  uint64
-	gcCopies  uint64
 }
 
 // NewStore builds a store. The device must allow at least
@@ -206,9 +205,6 @@ func (s *Store) HostPages() uint64 { return s.hostPages }
 
 // GCResets reports zones recycled by reclamation.
 func (s *Store) GCResets() uint64 { return s.gcResets }
-
-// GCCopies reports pages copied forward by reclamation.
-func (s *Store) GCCopies() uint64 { return s.gcCopies }
 
 // Live reports whether an object is currently stored.
 func (s *Store) Live(id int64) bool {
@@ -400,7 +396,6 @@ func (s *Store) relocate(at sim.Time, victim int) bool {
 		s.live[dz] += int64(sg.pages)
 		st.zone, st.off = dz, newOff
 		s.segs[dz] = append(s.segs[dz], seg{id: sg.id, off: newOff, pages: sg.pages})
-		s.gcCopies += uint64(sg.pages)
 	}
 	s.segs[victim] = nil
 	if _, err := s.dev.Reset(at, victim); err != nil {

@@ -196,3 +196,37 @@ func TestAttrZeroAllocs(t *testing.T) {
 		t.Fatalf("live sink allocates %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestTenantTally pins the blame-evidence contract the devices share: a
+// nil tally is inert and names SelfTenant, out-of-range IDs count as sys,
+// ties go to the lower ID, and Clear forgets one unit only.
+func TestTenantTally(t *testing.T) {
+	var off TenantTally
+	off.Add(0, 3)
+	off.Clear(0)
+	if got := off.Dominant(0); got != SelfTenant {
+		t.Fatalf("nil tally names %d, want SelfTenant", got)
+	}
+	c := NewTenantTally(2)
+	if got := c.Dominant(0); got != SelfTenant {
+		t.Fatalf("empty unit names %d, want SelfTenant", got)
+	}
+	c.Add(0, 3)
+	c.Add(0, 2)
+	if got := c.Dominant(0); got != 2 {
+		t.Fatalf("tie names %d, want the lower ID 2", got)
+	}
+	c.Add(0, SelfTenant)
+	c.Add(0, MaxTenants)
+	if got := c.Dominant(0); got != 0 {
+		t.Fatalf("two out-of-range adds name %d, want sys (0)", got)
+	}
+	c.Add(1, 5)
+	c.Clear(0)
+	if got := c.Dominant(0); got != SelfTenant {
+		t.Fatalf("cleared unit names %d, want SelfTenant", got)
+	}
+	if got := c.Dominant(1); got != 5 {
+		t.Fatalf("Clear(0) disturbed unit 1: names %d, want 5", got)
+	}
+}

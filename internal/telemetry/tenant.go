@@ -40,12 +40,6 @@ var blamePhases = [NumPhases]bool{
 	PhaseLUNWait:   true,
 }
 
-// BlamePhase reports whether p is a stall phase that carries blame
-// (wp_serial, gc_stall, zone_reset, chan_wait, lun_wait).
-func BlamePhase(p Phase) bool {
-	return p >= 0 && int(p) < NumPhases && blamePhases[p]
-}
-
 // clampTenant maps out-of-range IDs (including SelfTenant) to the sys
 // tenant.
 func clampTenant(t TenantID) TenantID {
@@ -53,6 +47,47 @@ func clampTenant(t TenantID) TenantID {
 		return 0
 	}
 	return t
+}
+
+// TenantTally counts, per unit (an erase block or a zone), how many events
+// each tenant caused there — the evidence a device uses to name the tenant
+// a unit's reclamation blames. Out-of-range IDs (including SelfTenant)
+// count as the sys tenant. A nil tally (attribution off) ignores Add and
+// Clear and names no one.
+type TenantTally [][MaxTenants]int32
+
+// NewTenantTally returns a zeroed tally over units units.
+func NewTenantTally(units int) TenantTally { return make(TenantTally, units) }
+
+// Add counts one event in unit u caused by tenant t.
+func (c TenantTally) Add(u int, t TenantID) {
+	if c == nil {
+		return
+	}
+	c[u][clampTenant(t)]++
+}
+
+// Dominant names the tenant with the most events in unit u, ties going to
+// the lower ID; SelfTenant when the unit is empty or the tally is nil.
+func (c TenantTally) Dominant(u int) TenantID {
+	if c == nil {
+		return SelfTenant
+	}
+	best, bestN := SelfTenant, int32(0)
+	for t, n := range c[u] {
+		if n > bestN {
+			best, bestN = TenantID(t), n
+		}
+	}
+	return best
+}
+
+// Clear resets unit u (its block was erased, or its zone reset).
+func (c TenantTally) Clear(u int) {
+	if c == nil {
+		return
+	}
+	c[u] = [MaxTenants]int32{}
 }
 
 // TenantOpAttr aggregates one tenant's attribution for one op kind — the

@@ -175,7 +175,7 @@ type Device struct {
 	// the zone's last reset. A Reset's erase cost is blamed on the dominant
 	// writer — whoever filled the zone caused the need to wipe it. Allocated
 	// lazily by SetProbe alongside blockDone.
-	writtenBy [][telemetry.MaxTenants]int32
+	writtenBy telemetry.TenantTally
 
 	// wpDone is blockDone's telemetry-free twin, allocated by New only when
 	// ScaleWPSerial is armed: the early-ack cut must not depend on whether
@@ -258,7 +258,7 @@ func (d *Device) SetProbe(p *telemetry.Probe) {
 	d.attr = p.Attribution()
 	if d.attr != nil && d.blockDone == nil {
 		d.blockDone = make([]sim.Time, d.cfg.Geom.TotalBlocks())
-		d.writtenBy = make([][telemetry.MaxTenants]int32, len(d.zones))
+		d.writtenBy = telemetry.NewTenantTally(len(d.zones))
 	}
 	for s := range d.mTrans {
 		d.mTrans[s] = reg.Counter("zns/zone/state_transitions{to=" + ZoneState(s).String() + "}")
@@ -522,7 +522,7 @@ func (d *Device) Reset(at sim.Time, z int) (sim.Time, error) {
 	// The zone's erase cost is blamed on whoever filled it: the dominant
 	// writer since the last reset. Its worker identity also owns the
 	// stripe-erase LUN occupancy, so later arrivals' waits blame it too.
-	culprit := d.dominantWriter(z)
+	culprit := d.writtenBy.Dominant(z)
 
 	// The stripe's erases run in parallel across LUNs: suspend per-erase
 	// attribution and charge the reset's wall-clock time as one phase.
@@ -548,9 +548,7 @@ func (d *Device) Reset(at sim.Time, z int) (sim.Time, error) {
 	d.attr.Resume()
 	d.attr.PopWorker()
 	d.attr.ChargeBlamed(telemetry.PhaseZoneReset, done-at, culprit)
-	if d.writtenBy != nil {
-		d.writtenBy[z] = [telemetry.MaxTenants]int32{}
-	}
+	d.writtenBy.Clear(z)
 	zn.blocks = survivors
 	if d.data != nil {
 		base := d.LBA(z, 0)
@@ -570,30 +568,6 @@ func (d *Device) Reset(at sim.Time, z int) (sim.Time, error) {
 	d.resets++
 	d.mResets.Inc()
 	return done, nil
-}
-
-// clampOwner maps a worker identity into the blame-table range.
-func clampOwner(t telemetry.TenantID) telemetry.TenantID {
-	if t < 0 || t >= telemetry.MaxTenants {
-		return 0
-	}
-	return t
-}
-
-// dominantWriter returns the tenant with the most programs into zone z
-// since its last reset (ties break toward the lower ID), or SelfTenant
-// when nothing was recorded — the reset then self-blames.
-func (d *Device) dominantWriter(z int) telemetry.TenantID {
-	if d.writtenBy == nil {
-		return telemetry.SelfTenant
-	}
-	best, bestN := telemetry.SelfTenant, int32(0)
-	for t, n := range d.writtenBy[z] {
-		if n > bestN {
-			best, bestN = telemetry.TenantID(t), n
-		}
-	}
-	return best
 }
 
 // write programs one page at the zone's write pointer.
@@ -636,9 +610,7 @@ func (d *Device) write(at sim.Time, z int, data []byte) (lba int64, done sim.Tim
 		}
 		d.blockDone[block] = done
 	}
-	if d.writtenBy != nil {
-		d.writtenBy[z][clampOwner(d.attr.Worker())]++
-	}
+	d.writtenBy.Add(z, d.attr.Worker())
 	if d.wpDone != nil {
 		// Early-ack counterfactual (ScaleWPSerial): the host sees only
 		// WPSerialScale of the wait behind this block's previous program.
@@ -803,12 +775,10 @@ func (d *Device) SimpleCopy(at sim.Time, srcLBAs []int64, dstZone int) (firstLBA
 		if firstLBA < 0 {
 			firstLBA = dst
 		}
-		if d.writtenBy != nil {
-			// The copy fills the destination on the current worker's behalf
-			// (reclamation pushes the victim's dominant polluter), so the
-			// destination zone's eventual reset blames the right tenant.
-			d.writtenBy[dstZone][clampOwner(d.attr.Worker())]++
-		}
+		// The copy fills the destination on the current worker's behalf
+		// (reclamation pushes the victim's dominant polluter), so the
+		// destination zone's eventual reset blames the right tenant.
+		d.writtenBy.Add(dstZone, d.attr.Worker())
 		zn.wp++
 		if zn.wp == zn.cap {
 			d.release(zn)
